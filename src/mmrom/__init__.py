@@ -18,7 +18,7 @@ from .problems import (
     make_van_der_pol,
     system_from_tables,
 )
-from .assembly import GalerkinOperators, assemble_operators, chain_F, chain_P, chain_Q, jacobian_JF, residual_F
+from .assembly import GalerkinOperators, assemble_operators, jacobian_JF, residual_F
 from .newton import SolverOptions, Solution, newton_step, solve_invariance, solve_sylvester
 from .rom import GainSpec, ReducedOrderModel, build_rom, default_gain, stabilizing_gain, verify_rom_stability
 from .simulate import SimConfig, Trajectory, simulate_fom, simulate_rom, steady_state_rms

@@ -1,59 +1,55 @@
 """Assembly of the Galerkin residual function and its Jacobian.
 
 The residual of the invariance equation, projected on the monomial basis,
-splits into a linear advection term A c_i and a nonlinear coupling term
-G_i(c).  Inner products of monomials are integrated in closed form; the
-nonlinear terms use tensor-product quadrature in the generic path and exact
-triple/quadruple-product tensors in the chain_cubic fast path.
+splits into a linear advection term A c_i and a nonlinear coupling term.
+The advection matrix of a polynomial generator is integrated in closed
+form; the nonlinear terms of every problem are integrated at the K nodes of
+one tensor-product Gauss rule.  With B the (K, N) basis values, W the
+weights and Pi = B C^T the expansion at the nodes,
+
+    F = C A^T - (W B)^T f(Pi, l),
+
+and the Jacobian block of each structural nonzero (i, j) of df/dx is
+-(W B)^T diag(df_i/dx_j) B, plus A on the diagonal blocks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import Basis, eval_basis, eval_basis_gradient
-from .linear import BlockTridiagonal
-from .problems import PolyMap, Problem
+from .linear import BlockTridiagonal, check_dense_size
+from .problems import Problem
 from .quadrature import BoxDomain, QuadratureRule, monomial_integral_tables, tensor_rule
 
 
 @dataclass
 class GalerkinOperators:
-    """Precomputed inner products over the solve domain."""
+    """Advection matrix and basis tables at the quadrature nodes."""
 
     A: np.ndarray          # (N, N) advection matrix
-    Mmat: np.ndarray       # (N, N) Gram matrix of the basis
-    P: np.ndarray          # (N, N) Gram matrix weighted by omega_1
-    gamma: np.ndarray      # (N,) projection of the generator output (m = 1)
-    Ntensor: np.ndarray    # (N, N, N) triple products
-    Otensor: np.ndarray    # (N, N, N, N) quadruple products
     basis: Basis
     domain: BoxDomain
     rule: QuadratureRule
     basis_values: np.ndarray = field(repr=False)      # (K, N) basis at nodes
-    basis_gradients: np.ndarray = field(repr=False)   # (K, N, d)
+    basis_products: np.ndarray = field(repr=False)    # (K, N*N) w_k phi_a phi_b at nodes
     l_values: np.ndarray = field(repr=False)          # (K, m) generator output at nodes
 
     @property
     def size(self) -> int:
         return self.basis.size
 
-    # flattened tensor views for fast contractions
-    @property
-    def _N2(self) -> np.ndarray:
-        return self.Ntensor.reshape(self.size ** 2, self.size)
-
-    @property
-    def _O2(self) -> np.ndarray:
-        return self.Otensor.reshape(self.size ** 2, self.size ** 2)
-
 
 def default_quadrature_order(problem: Problem, M: int) -> int:
-    """Exactness-driven default: integrands of polynomial problems reach
-    coordinate degree about 4M; transcendental problems get a safety margin."""
+    """Points per dimension.  For polynomial data the rule integrates
+    phi * f(pi^N, l) exactly: its degree is at most M + deg_f * max(M, deg_l),
+    and the Jacobian integrands are no higher.  Transcendental problems get a
+    fixed margin."""
     if problem.is_polynomial:
-        return max(2 * M + 1, 10)
+        reach = problem.system.degree * max(M, problem.generator.l_poly.max_degree())
+        return max(2 * M + 1, 10, math.ceil((M + reach + 1) / 2))
     return 32
 
 
@@ -64,193 +60,95 @@ def _table_product(table: np.ndarray, sumexp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eval_map_at(fn, pts: np.ndarray, nout: int) -> np.ndarray:
-    if isinstance(fn, PolyMap):
-        return np.atleast_2d(fn(pts)).reshape(pts.shape[0], nout)
-    out = np.empty((pts.shape[0], nout))
-    for q in range(pts.shape[0]):
-        out[q] = np.atleast_1d(fn(pts[q]))
-    return out
+def _exact_advection(s_poly, basis: Basis, domain: BoxDomain) -> np.ndarray:
+    """A[a, b] = int phi_a (grad phi_b . s) over the box, from monomial integrals."""
+    E = basis.exponents
+    table = monomial_integral_tables(domain, 2 * basis.M + s_poly.max_degree())
+    A = np.zeros((basis.size, basis.size))
+    for k in range(basis.d):
+        nu_k = E[:, k].astype(float)
+        dE = E.copy()
+        dE[:, k] = np.maximum(dE[:, k] - 1, 0)
+        for exps, coef in zip(*s_poly._terms[k]):
+            sumexp = E[:, None, :] + (dE + exps)[None, :, :]
+            A += coef * nu_k[None, :] * _table_product(table, sumexp)
+    return A
 
 
 def assemble_operators(
     problem: Problem, basis: Basis, domain: BoxDomain, q: int | None = None
 ) -> GalerkinOperators:
-    """Assemble A, M, P, gamma and the triple/quadruple product tensors."""
+    """Assemble the advection matrix and the basis tables of a q-point rule."""
     if basis.d != domain.d or basis.d != problem.generator.d:
         raise ValueError("basis, domain and generator dimensions disagree")
     gen = problem.generator
     if q is None:
         q = default_quadrature_order(problem, basis.M)
     rule = tensor_rule(domain, q)
-    E = basis.exponents
-    N, d = basis.size, basis.d
-
-    extra = 0
-    if gen.s_poly is not None:
-        extra = max(extra, gen.s_poly.max_degree())
-    if gen.l_poly is not None:
-        extra = max(extra, gen.l_poly.max_degree())
-    table = monomial_integral_tables(domain, 4 * basis.M + extra + 1)
-
-    Mmat = _table_product(table, E[:, None, :] + E[None, :, :])
-    e1 = np.zeros(d, dtype=np.int64)
-    e1[0] = 1
-    P = _table_product(table, E[:, None, :] + E[None, :, :] + e1)
-    Ntensor = _table_product(
-        table, E[:, None, None, :] + E[None, :, None, :] + E[None, None, :, :]
-    )
-    Otensor = _table_product(
-        table,
-        E[:, None, None, None, :] + E[None, :, None, None, :]
-        + E[None, None, :, None, :] + E[None, None, None, :, :],
-    )
+    N = basis.size
 
     basis_values = eval_basis(basis, rule.nodes)
-    basis_gradients = eval_basis_gradient(basis, rule.nodes)
-    l_values = _eval_map_at(gen.l, rule.nodes, gen.m)
     weighted_basis = basis_values * rule.weights[:, None]
+    basis_products = (weighted_basis[:, :, None] * basis_values[:, None, :]).reshape(-1, N * N)
+    l_values = np.asarray(gen.l(rule.nodes), dtype=float)
 
     if gen.s_poly is not None:
-        A = np.zeros((N, N))
-        for k in range(d):
-            nu_k = E[:, k].astype(float)
-            dE = E.copy()
-            dE[:, k] = np.maximum(dE[:, k] - 1, 0)
-            for exps, coef in zip(gen.s_poly._exps[k], gen.s_poly._coefs[k]):
-                sumexp = E[:, None, :] + (dE + exps)[None, :, :]
-                A += coef * nu_k[None, :] * _table_product(table, sumexp)
+        A = _exact_advection(gen.s_poly, basis, domain)
     else:
-        s_values = _eval_map_at(gen.s, rule.nodes, d)
+        grads = eval_basis_gradient(basis, rule.nodes)
+        s_values = gen.s(rule.nodes)
         A = np.zeros((N, N))
-        for k in range(d):
-            A += weighted_basis.T @ (basis_gradients[:, :, k] * s_values[:, k:k + 1])
+        for k in range(basis.d):
+            A += weighted_basis.T @ (grads[:, :, k] * s_values[:, k:k + 1])
 
-    if gen.m == 1 and gen.l_poly is not None:
-        gamma = np.zeros(N)
-        for exps, coef in zip(gen.l_poly._exps[0], gen.l_poly._coefs[0]):
-            gamma += coef * _table_product(table, E + exps)
-    else:
-        gamma = (weighted_basis.T @ l_values).T
-        if gen.m == 1:
-            gamma = gamma[0]
-
-    if not np.all(np.isfinite(A)):
-        raise ValueError("non-finite entries in the advection matrix")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(l_values))):
+        raise ValueError("non-finite advection matrix or generator output on the domain")
 
     return GalerkinOperators(
-        A=A, Mmat=Mmat, P=P, gamma=gamma, Ntensor=Ntensor, Otensor=Otensor,
-        basis=basis, domain=domain, rule=rule,
-        basis_values=basis_values, basis_gradients=basis_gradients, l_values=l_values,
+        A=A, basis=basis, domain=domain, rule=rule,
+        basis_values=basis_values, basis_products=basis_products, l_values=l_values,
     )
-
-
-# ---------------------------------------------------------------------------
-# Generic quadrature path
-# ---------------------------------------------------------------------------
-
-def _dynamics_at_nodes(problem: Problem, ops: GalerkinOperators, C: np.ndarray):
-    """Expansion values pi^N and input values at the quadrature nodes."""
-    pivals = ops.basis_values @ C.T            # (K, n)
-    uvals = ops.l_values                       # (K, m)
-    return pivals, uvals
-
-
-def _f_at_nodes(problem: Problem, pivals: np.ndarray, uvals: np.ndarray) -> np.ndarray:
-    sys = problem.system
-    if sys.f_poly is not None:
-        return sys.f_poly(np.hstack([pivals, uvals]))
-    out = np.empty_like(pivals)
-    for qi in range(pivals.shape[0]):
-        val = sys.f(pivals[qi], uvals[qi])
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"non-finite dynamics at node index {qi}")
-        out[qi] = val
-    return out
-
-
-def _fx_at_nodes(problem: Problem, pivals: np.ndarray, uvals: np.ndarray) -> np.ndarray:
-    sys = problem.system
-    if sys.f_poly is not None:
-        return sys.f_poly.jacobian(np.hstack([pivals, uvals]))[:, :, :sys.n]
-    out = np.empty((pivals.shape[0], sys.n, sys.n))
-    for qi in range(pivals.shape[0]):
-        out[qi] = sys.f_jacobian_x(pivals[qi], uvals[qi])
-    return out
 
 
 def residual_F(problem: Problem, ops: GalerkinOperators, c: np.ndarray) -> np.ndarray:
-    """Galerkin residual F(c), blocks F_i = A c_i + G_i(c), flattened."""
-    n, N = problem.system.n, ops.size
-    C = np.asarray(c, dtype=float).reshape(n, N)
-    if problem.system.structure_tag == "chain_cubic":
-        return chain_F(ops, c, problem.params["kappa"])
-    pivals, uvals = _dynamics_at_nodes(problem, ops, C)
-    fvals = _f_at_nodes(problem, pivals, uvals)
+    """Galerkin residual F(c) = C A^T - (W B)^T f(Pi, l), flattened block-major."""
+    n = problem.system.n
+    C = np.asarray(c, dtype=float).reshape(n, ops.size)
+    fvals = problem.system.f(ops.basis_values @ C.T, ops.l_values)       # (K, n)
     weighted_basis = ops.basis_values * ops.rule.weights[:, None]
-    G = -(weighted_basis.T @ fvals).T          # (n, N)
-    return (C @ ops.A.T + G).ravel()
+    return (C @ ops.A.T - fvals.T @ weighted_basis).ravel()
+
+
+def _blocks(ops: GalerkinOperators, vals: np.ndarray) -> np.ndarray:
+    """-(W B)^T diag(vals[:, e]) B for every column e of vals, shape (E, N, N)."""
+    out = (vals.T @ ops.basis_products).reshape(-1, ops.size, ops.size)
+    return np.negative(out, out=out)  # in place: no second copy of the blocks
+
+
+def _band(ops: GalerkinOperators, vals: np.ndarray, rows, cols, k: int, n: int) -> np.ndarray:
+    """Blocks (i, i + k) of JF less A, zero where the pattern has no entry.
+    Three band arrays rather than one keep each allocation a third as large."""
+    sel = cols - rows == k
+    band = np.zeros((vals.shape[0], n - abs(k)))
+    band[:, np.minimum(rows, cols)[sel]] = vals[:, sel]
+    return _blocks(ops, band)
 
 
 def jacobian_JF(problem: Problem, ops: GalerkinOperators, c: np.ndarray):
-    """Jacobian of F; block-tridiagonal for chain_cubic, dense otherwise."""
-    n, N = problem.system.n, ops.size
+    """Jacobian of F: a BlockTridiagonal when every structural nonzero (i, j)
+    of df/dx has |i - j| <= 1, a dense (nN, nN) matrix otherwise."""
+    sys = problem.system
+    n, N = sys.n, ops.size
     C = np.asarray(c, dtype=float).reshape(n, N)
-    if problem.system.structure_tag == "chain_cubic":
-        kappa = problem.params["kappa"]
-        diag = [chain_Q(ops, C[i], kappa) for i in range(n)]
-        return BlockTridiagonal(diag=diag, off=-ops.Mmat)
-    pivals, uvals = _dynamics_at_nodes(problem, ops, C)
-    fx = _fx_at_nodes(problem, pivals, uvals)
-    weighted_basis = ops.basis_values * ops.rule.weights[:, None]
-    JF = np.zeros((n * N, n * N))
-    for i in range(n):
-        for j in range(n):
-            block = -weighted_basis.T @ (ops.basis_values * fx[:, i, j][:, None])
-            if i == j:
-                block = block + ops.A
-            JF[i * N:(i + 1) * N, j * N:(j + 1) * N] = block
-    return JF
-
-
-# ---------------------------------------------------------------------------
-# chain_cubic fast path
-# ---------------------------------------------------------------------------
-
-def chain_Ntilde(ops: GalerkinOperators, v: np.ndarray) -> np.ndarray:
-    """Contraction of the triple-product tensor with one coefficient vector."""
-    return (ops._N2 @ v).reshape(ops.size, ops.size)
-
-
-def chain_Otilde(ops: GalerkinOperators, v: np.ndarray) -> np.ndarray:
-    """Contraction of the quadruple-product tensor with v twice."""
-    return (ops._O2 @ np.outer(v, v).ravel()).reshape(ops.size, ops.size)
-
-
-def chain_P(ops: GalerkinOperators, v: np.ndarray, kappa: float) -> np.ndarray:
-    """Per-block residual contribution of the ladder dynamics."""
-    mat = ops.A + 2.0 * kappa * ops.Mmat + 0.5 * chain_Ntilde(ops, v) \
-        + chain_Otilde(ops, v) / 3.0
-    return mat @ v
-
-def chain_Q(ops: GalerkinOperators, v: np.ndarray, kappa: float) -> np.ndarray:
-    """Per-block Jacobian diagonal of the ladder dynamics."""
-    return ops.A + 2.0 * kappa * ops.Mmat + chain_Ntilde(ops, v) + chain_Otilde(ops, v)
-
-
-def chain_F(ops: GalerkinOperators, c: np.ndarray, kappa: float) -> np.ndarray:
-    """Residual for tridiagonally coupled cubic-ladder dynamics."""
-    N = ops.size
-    C = np.asarray(c, dtype=float).reshape(-1, N)
-    n = C.shape[0]
-    F = np.empty_like(C)
-    for i in range(n):
-        Fi = chain_P(ops, C[i], kappa)
-        if i > 0:
-            Fi = Fi - ops.Mmat @ C[i - 1]
-        if i < n - 1:
-            Fi = Fi - ops.Mmat @ C[i + 1]
-        if i == 0:
-            Fi = Fi - ops.gamma
-        F[i] = Fi
-    return F.ravel()
+    rows, cols = sys.jacobian_pattern
+    vals = sys.f_jacobian_x(ops.basis_values @ C.T, ops.l_values)        # (K, nnz)
+    if np.all(np.abs(rows - cols) <= 1):
+        diag, sub, sup = (_band(ops, vals, rows, cols, k, n) for k in (0, -1, 1))
+        diag += ops.A
+        return BlockTridiagonal(diag=diag, sub=sub, sup=sup)
+    check_dense_size(n, N)
+    JF = np.zeros((n, N, n, N))
+    JF[rows, :, cols, :] = _blocks(ops, vals)
+    idx = np.arange(n)
+    JF[idx, :, idx, :] += ops.A
+    return JF.reshape(n * N, n * N)

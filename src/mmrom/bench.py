@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,8 +187,7 @@ def solve_benchmark(problem: Problem, half_width: float, M: int,
     basis = generate_basis(problem.generator.d, M)
     ops = assemble_operators(problem, basis, domain)
     if backend is None:
-        backend = "pseudoinverse" if problem.system.structure_tag == "generic" \
-            and problem.generator.s_poly is None else "auto"
+        backend = "pseudoinverse" if problem.generator.s_poly is None else "auto"
     start = time.perf_counter()
     solution = solve_invariance(problem, ops, SolverOptions(backend=backend))
     return solution, time.perf_counter() - start
@@ -205,6 +203,7 @@ class CellResult:
     passed: bool
     converged: bool
     seconds: float
+    error: str | None = None  # "Type: message" of the exception that ended the cell
 
 
 def _check_cell(value, reference, converged, criterion) -> bool:
@@ -262,7 +261,7 @@ def run_timing_row(spec: dict, n: int) -> CellResult:
                       seconds=seconds)
 
 
-def reproduce_table(table_id: str, scale: str = "desk", threads: int = 1) -> list[CellResult]:
+def reproduce_table(table_id: str, scale: str = "desk") -> list[CellResult]:
     """Run every cell of a reference table; desk scale skips n = 1000 work."""
     if table_id not in REFERENCE_TABLES:
         raise ValueError(f"unknown table {table_id!r}; expected one of {TABLE_IDS}")
@@ -277,20 +276,18 @@ def reproduce_table(table_id: str, scale: str = "desk", threads: int = 1) -> lis
     runner = run_residual_cell if spec["kind"] == "residual" else run_rom_cell
     cells = [(hw, M) for hw in spec["half_widths"] for M in spec["degrees"]]
 
-    def job(cell):
-        hw, M = cell
+    results = []
+    for hw, M in cells:
         try:
-            return runner(spec, hw, M)
-        except Exception as exc:  # partial failures are recorded, not fatal
-            return CellResult(half_width=hw, M=M, n=spec["n"], value=None,
-                              reference=spec["values"][spec["half_widths"].index(hw)]
-                              [spec["degrees"].index(M)],
-                              passed=False, converged=False, seconds=float("nan"))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, cells))
-    return [job(cell) for cell in cells]
+            results.append(runner(spec, hw, M))
+        except Exception as exc:  # a failed cell is recorded with its cause; the grid goes on
+            results.append(CellResult(
+                half_width=hw, M=M, n=spec["n"], value=None,
+                reference=spec["values"][spec["half_widths"].index(hw)][spec["degrees"].index(M)],
+                passed=False, converged=False, seconds=float("nan"),
+                error=f"{type(exc).__name__}: {exc}",
+            ))
+    return results
 
 
 def write_results_csv(path, results: list[CellResult]) -> None:

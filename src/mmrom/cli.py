@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import random
 import sys
 from pathlib import Path
 
@@ -146,7 +145,7 @@ def cmd_rom(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    results = bench.reproduce_table(args.table, scale=args.scale, threads=args.threads)
+    results = bench.reproduce_table(args.table, scale=args.scale)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{args.table}.csv"
@@ -154,6 +153,8 @@ def cmd_reproduce(args) -> int:
     all_pass = all(r.passed for r in results)
     for r in results:
         val = "not-converged" if r.value is None else f"{r.value:.4e}"
+        if r.error is not None:
+            val = f"error ({r.error})"
         ref = "-" if r.reference is None else f"{r.reference:.4e}"
         _say(args, f"  domain [-{r.half_width:g},{r.half_width:g}]^2  M={r.M}  n={r.n}  "
                    f"value={val}  reference={ref}  "
@@ -189,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "reduced-order models",
     )
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for grids")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized runs")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -223,9 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
-        np.random.seed(args.seed)
     try:
         return args.func(args)
     except ConfigError as exc:

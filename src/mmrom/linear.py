@@ -6,52 +6,61 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+# Largest dense Jacobian (in bytes) that is ever formed; beyond it dense
+# solves and pseudoinverses cost minutes and gigabytes, so they are refused.
+MAX_DENSE_BYTES = 2 ** 30
+
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a direct factorization detects (near-)singularity."""
 
 
+def check_dense_size(n: int, N: int) -> None:
+    """Raise MemoryError if an (nN, nN) float matrix exceeds MAX_DENSE_BYTES."""
+    nbytes = (n * N) ** 2 * 8
+    if nbytes > MAX_DENSE_BYTES:
+        raise MemoryError(
+            f"dense Jacobian with n={n} blocks of size N={N} needs {nbytes} bytes, "
+            f"above the limit of {MAX_DENSE_BYTES} bytes"
+        )
+
+
 @dataclass
 class BlockTridiagonal:
-    """Block-tridiagonal matrix with a constant off-diagonal block.
+    """Block-tridiagonal matrix of n blocks of size (N, N).
 
-    Diagonal blocks ``diag[i]`` are (N, N); the sub- and super-diagonal
-    blocks are all equal to ``off``.
+    ``diag[i]`` is block (i, i), ``sub[i]`` is block (i + 1, i) and
+    ``sup[i]`` is block (i, i + 1); arrays of shape (n, N, N), (n - 1, N, N)
+    and (n - 1, N, N).
     """
 
-    diag: list
-    off: np.ndarray
+    diag: np.ndarray
+    sub: np.ndarray
+    sup: np.ndarray
 
     @property
     def nblocks(self) -> int:
-        return len(self.diag)
+        return self.diag.shape[0]
 
     @property
     def block_size(self) -> int:
-        return self.diag[0].shape[0]
+        return self.diag.shape[1]
 
     def to_dense(self) -> np.ndarray:
         n, N = self.nblocks, self.block_size
-        out = np.zeros((n * N, n * N))
-        for i, D in enumerate(self.diag):
-            out[i * N:(i + 1) * N, i * N:(i + 1) * N] = D
-            if i > 0:
-                out[i * N:(i + 1) * N, (i - 1) * N:i * N] = self.off
-            if i < n - 1:
-                out[i * N:(i + 1) * N, (i + 1) * N:(i + 2) * N] = self.off
-        return out
+        check_dense_size(n, N)
+        out = np.zeros((n, N, n, N))
+        idx = np.arange(n)
+        out[idx, :, idx, :] = self.diag
+        out[idx[1:], :, idx[:-1], :] = self.sub
+        out[idx[:-1], :, idx[1:], :] = self.sup
+        return out.reshape(n * N, n * N)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        n, N = self.nblocks, self.block_size
-        xb = x.reshape(n, N)
-        out = np.empty_like(xb)
-        for i in range(n):
-            acc = self.diag[i] @ xb[i]
-            if i > 0:
-                acc = acc + self.off @ xb[i - 1]
-            if i < n - 1:
-                acc = acc + self.off @ xb[i + 1]
-            out[i] = acc
+        xb = x.reshape(self.nblocks, self.block_size)
+        out = np.einsum("iab,ib->ia", self.diag, xb)
+        out[1:] += np.einsum("iab,ib->ia", self.sub, xb[:-1])
+        out[:-1] += np.einsum("iab,ib->ia", self.sup, xb[1:])
         return out.ravel()
 
 
@@ -82,12 +91,12 @@ def solve_block_tridiagonal(A: BlockTridiagonal, b: np.ndarray) -> np.ndarray:
     denom = A.diag[0]
     for i in range(n):
         if i > 0:
-            denom = A.diag[i] - A.off @ W[i - 1]
+            denom = A.diag[i] - A.sub[i - 1] @ W[i - 1]
         try:
             if i < n - 1:
-                W[i] = np.linalg.solve(denom, A.off)
+                W[i] = np.linalg.solve(denom, A.sup[i])
             g[i] = np.linalg.solve(
-                denom, rhs[i] if i == 0 else rhs[i] - A.off @ g[i - 1]
+                denom, rhs[i] if i == 0 else rhs[i] - A.sub[i - 1] @ g[i - 1]
             )
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"singular reduced block at index {i}") from exc

@@ -65,8 +65,6 @@ def newton_step(JF, F: np.ndarray, backend: str, rank_cutoff: float = 1e-10) -> 
     """Solve JF * delta = F with the requested backend."""
     if backend == "block_tridiagonal":
         if isinstance(JF, BlockTridiagonal):
-            if JF.nblocks == 1:
-                return np.linalg.solve(JF.diag[0], F)
             return solve_block_tridiagonal(JF, F)
         raise TypeError("block_tridiagonal backend requires a BlockTridiagonal Jacobian")
     A = JF.to_dense() if isinstance(JF, BlockTridiagonal) else JF
@@ -80,7 +78,10 @@ def newton_step(JF, F: np.ndarray, backend: str, rank_cutoff: float = 1e-10) -> 
 def solve_invariance(
     problem: Problem, ops: GalerkinOperators, options: SolverOptions | None = None
 ) -> Solution:
-    """Newton iteration on F(c) = 0 from the configured initial guess."""
+    """Newton iteration on F(c) = 0 from the configured initial guess.
+
+    The 'auto' backend follows the Jacobian's type: block_tridiagonal for a
+    BlockTridiagonal, dense_lu for a dense matrix."""
     opts = options or SolverOptions()
     n, N = problem.system.n, ops.size
     if opts.initial_guess is not None:
@@ -91,13 +92,6 @@ def solve_invariance(
         c = np.zeros(n * N)
 
     backend = opts.backend
-    if backend == "auto":
-        backend = (
-            "block_tridiagonal"
-            if problem.system.structure_tag == "chain_cubic"
-            else "dense_lu"
-        )
-
     F = residual_F(problem, ops, c)
     history = [float(np.linalg.norm(F, 1))]
     iterations = 0
@@ -107,11 +101,14 @@ def solve_invariance(
         if not np.isfinite(history[-1]) or history[-1] > DIVERGENCE_FACTOR * max(history[0], 1e-30):
             break
         JF = jacobian_JF(problem, ops, c)
+        if backend == "auto":
+            backend = "block_tridiagonal" if isinstance(JF, BlockTridiagonal) else "dense_lu"
         try:
             delta = newton_step(JF, F, backend, opts.rank_cutoff)
         except SingularMatrixError:
             backend = "pseudoinverse"
             delta = newton_step(JF, F, backend, opts.rank_cutoff)
+        del JF  # release it before the next iteration builds another
         c = c - opts.damping * delta
         F = residual_F(problem, ops, c)
         norm = float(np.linalg.norm(F, 1))

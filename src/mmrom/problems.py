@@ -5,66 +5,76 @@ system (f, h) through u = l(omega).  Polynomial maps can be given as
 coefficient tables (exponent multi-index -> coefficient, per component),
 which enables exact integration during operator assembly; transcendental
 dynamics are provided through the built-in constructors.
+
+s, l and f accept batched inputs (..., d) and (..., n), (..., m).  A system
+also states the structural nonzeros of df/dx (``jacobian_pattern``), with
+``f_jacobian_x`` returning the values on them, and the polynomial degree of
+f in (x, u) (``degree``, None for non-polynomial f).
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _terms(table: dict, nvars: int):
+    """Exponent rows (T, nvars) and coefficients (T,) of a coefficient table."""
+    items = sorted(table.items())
+    exps = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), nvars)
+    return exps, np.array([c for _, c in items], dtype=float)
+
+
+def _eval_terms(pts: np.ndarray, exps: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    return np.prod(pts[:, None, :] ** exps[None, :, :], axis=2) @ coefs
 
 
 class PolyMap:
     """Vector polynomial map R^k -> R^q defined by coefficient tables.
 
     ``tables`` is a list (one entry per output component) of dicts mapping
-    exponent tuples of length ``nvars`` to real coefficients.
+    exponent tuples of length ``nvars`` to real coefficients.  Calls accept
+    one point (nvars,) or a batch (..., nvars).
     """
 
     def __init__(self, tables, nvars: int):
         self.nvars = nvars
         self.nout = len(tables)
         self.tables = [dict(t) for t in tables]
-        self._exps = []
-        self._coefs = []
-        for t in self.tables:
-            items = sorted(t.items())
-            exps = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), nvars)
-            coefs = np.array([c for _, c in items], dtype=float)
-            self._exps.append(exps)
-            self._coefs.append(coefs)
+        self._terms = [_terms(t, nvars) for t in self.tables]
+        # (i, j) -> terms of d p_i / d z_j, for every structurally nonzero partial
+        self._partials = {}
+        for i, table in enumerate(self.tables):
+            for j in sorted({j for e, c in table.items() if c != 0 for j in range(nvars) if e[j] > 0}):
+                dtable = {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
+                          for e, c in table.items() if e[j] > 0}
+                self._partials[(i, j)] = _terms(dtable, nvars)
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        single = z.ndim == 1
-        pts = z[None, :] if single else z
-        out = np.zeros((pts.shape[0], self.nout))
-        for i, (exps, coefs) in enumerate(zip(self._exps, self._coefs)):
-            if len(coefs) == 0:
-                continue
-            monos = np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
-            out[:, i] = monos @ coefs
-        return out[0] if single else out
+        pts = z.reshape(-1, self.nvars)
+        out = np.empty((pts.shape[0], self.nout))
+        for i, (exps, coefs) in enumerate(self._terms):
+            out[:, i] = _eval_terms(pts, exps, coefs)
+        return out.reshape(z.shape[:-1] + (self.nout,))
+
+    def partials(self, z, rows, cols) -> np.ndarray:
+        """d p_i / d z_j at z for each pair (i, j) of rows and cols, shape (..., len(rows))."""
+        z = np.asarray(z, dtype=float)
+        pts = z.reshape(-1, self.nvars)
+        out = np.zeros((pts.shape[0], len(rows)))
+        for k, key in enumerate(zip(rows, cols)):
+            if key in self._partials:
+                out[:, k] = _eval_terms(pts, *self._partials[key])
+        return out.reshape(z.shape[:-1] + (len(rows),))
 
     def jacobian(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        single = z.ndim == 1
-        pts = z[None, :] if single else z
-        jac = np.zeros((pts.shape[0], self.nout, self.nvars))
-        for i, (exps, coefs) in enumerate(zip(self._exps, self._coefs)):
-            for j in range(self.nvars):
-                sel = exps[:, j] > 0
-                if not np.any(sel):
-                    continue
-                dexps = exps[sel].copy()
-                dcoefs = coefs[sel] * dexps[:, j]
-                dexps[:, j] -= 1
-                monos = np.prod(pts[:, None, :] ** dexps[None, :, :], axis=2)
-                jac[:, i, j] = monos @ dcoefs
-        return jac[0] if single else jac
+        rows, cols = np.divmod(np.arange(self.nout * self.nvars), self.nvars)
+        return self.partials(z, rows, cols).reshape(z.shape[:-1] + (self.nout, self.nvars))
 
     def max_degree(self) -> int:
-        return max((int(e.sum(axis=1).max()) for e in self._exps if len(e)), default=0)
+        return max((int(e.sum(axis=1).max()) for e, _ in self._terms if len(e)), default=0)
 
 
 @dataclass
@@ -87,7 +97,14 @@ class SignalGenerator:
 
 @dataclass
 class FullOrderSystem:
-    """Controlled dynamics x' = f(x, u), y = h(x)."""
+    """Controlled dynamics x' = f(x, u), y = h(x).
+
+    ``jacobian_pattern`` is the pair (rows, cols) of integer arrays naming
+    the structural nonzeros of df/dx; ``f_jacobian_x(x, u)`` returns the
+    values on them, shape (..., len(rows)).  ``f_jacobian_u`` is the dense
+    (n, m) Jacobian at one point.  ``degree`` is the polynomial degree of f
+    in (x, u), or None when f is not polynomial.
+    """
 
     n: int
     m: int
@@ -96,12 +113,12 @@ class FullOrderSystem:
     h: callable
     f_jacobian_x: callable
     f_jacobian_u: callable
-    structure_tag: str = "generic"
-    f_poly: PolyMap | None = None  # over the concatenated variables (x, u)
+    jacobian_pattern: tuple
+    degree: int | None = None
 
     @property
     def is_polynomial(self) -> bool:
-        return self.f_poly is not None or self.structure_tag == "chain_cubic"
+        return self.degree is not None
 
 
 @dataclass
@@ -138,25 +155,31 @@ def generator_from_tables(d: int, m: int, s_tables, l_tables) -> SignalGenerator
 
 def system_from_tables(n: int, m: int, p: int, f_tables, h_tables) -> FullOrderSystem:
     """Build a polynomial system from tables; f is over the stacked (x, u)."""
-    f_poly = PolyMap(f_tables, n + m)
-    h_poly = PolyMap(h_tables, n)
-    if f_poly.nout != n or h_poly.nout != p:
+    f_map = PolyMap(f_tables, n + m)
+    h_map = PolyMap(h_tables, n)
+    if f_map.nout != n or h_map.nout != p:
         raise ValueError("table counts inconsistent with n, p")
+    pairs = [(i, j) for i, j in sorted(f_map._partials) if j < n]
+    rows = np.array([i for i, _ in pairs], dtype=np.int64)
+    cols = np.array([j for _, j in pairs], dtype=np.int64)
+
+    def xu(x, u):
+        return np.concatenate([np.atleast_1d(x), np.atleast_1d(u)], axis=-1)
 
     def f(x, u):
-        return f_poly(np.concatenate([np.atleast_1d(x), np.atleast_1d(u)]))
+        return f_map(xu(x, u))
 
     def f_jacobian_x(x, u):
-        return f_poly.jacobian(np.concatenate([np.atleast_1d(x), np.atleast_1d(u)]))[:, :n]
+        return f_map.partials(xu(x, u), rows, cols)
 
     def f_jacobian_u(x, u):
-        return f_poly.jacobian(np.concatenate([np.atleast_1d(x), np.atleast_1d(u)]))[:, n:]
+        return f_map.jacobian(xu(x, u))[..., n:]
 
     return FullOrderSystem(
         n=n, m=m, p=p,
-        f=f, h=h_poly,
+        f=f, h=h_map,
         f_jacobian_x=f_jacobian_x, f_jacobian_u=f_jacobian_u,
-        f_poly=f_poly,
+        jacobian_pattern=(rows, cols), degree=f_map.max_degree(),
     )
 
 
@@ -224,8 +247,8 @@ def make_cart_pendulum(a1: float = 2.0, a2: float = 3.0, k: float = -2.0 / 3.0) 
         raise ValueError(f"require k < -1/a2 = {-1.0 / a2}, got k={k}")
 
     def s(omega):
-        w1, w2 = omega
-        return np.array([w2, a1 * np.sin(w1) / (1.0 + k * a2 * np.cos(w1))])
+        w1, w2 = np.moveaxis(np.asarray(omega, dtype=float), -1, 0)
+        return np.stack([w2, a1 * np.sin(w1) / (1.0 + k * a2 * np.cos(w1))], axis=-1)
 
     def s_jacobian(omega):
         w1, _ = omega
@@ -234,23 +257,22 @@ def make_cart_pendulum(a1: float = 2.0, a2: float = 3.0, k: float = -2.0 / 3.0) 
         return np.array([[0.0, 1.0], [ds2, 0.0]])
 
     def l(omega):
-        w1, _ = omega
-        return np.array([k * a1 * np.sin(w1) / (1.0 + k * a2 * np.cos(w1))])
+        w1 = np.asarray(omega, dtype=float)[..., 0]
+        return (k * a1 * np.sin(w1) / (1.0 + k * a2 * np.cos(w1)))[..., None]
 
     def l_jacobian(omega):
         return (k * s_jacobian(omega)[1, :])[None, :]
 
     def f(x, u):
-        u0 = np.atleast_1d(u)[0]
-        return np.array([x[2], x[3], a1 * np.sin(x[0]) - a2 * np.cos(x[0]) * u0, u0])
+        x0, _, x2, x3 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+        u0 = np.broadcast_to(np.atleast_1d(u)[..., 0], x0.shape)
+        return np.stack([x2, x3, a1 * np.sin(x0) - a2 * np.cos(x0) * u0, u0], axis=-1)
 
     def f_jacobian_x(x, u):
-        u0 = np.atleast_1d(u)[0]
-        jac = np.zeros((4, 4))
-        jac[0, 2] = 1.0
-        jac[1, 3] = 1.0
-        jac[2, 0] = a1 * np.cos(x[0]) + a2 * np.sin(x[0]) * u0
-        return jac
+        x0 = np.asarray(x, dtype=float)[..., 0]
+        u0 = np.atleast_1d(u)[..., 0]
+        d20 = a1 * np.cos(x0) + a2 * np.sin(x0) * u0
+        return np.stack([np.ones_like(d20), np.ones_like(d20), d20], axis=-1)
 
     def f_jacobian_u(x, u):
         return np.array([[0.0], [0.0], [-a2 * np.cos(x[0])], [1.0]])
@@ -264,6 +286,7 @@ def make_cart_pendulum(a1: float = 2.0, a2: float = 3.0, k: float = -2.0 / 3.0) 
         n=4, m=1, p=1,
         f=f, h=h,
         f_jacobian_x=f_jacobian_x, f_jacobian_u=f_jacobian_u,
+        jacobian_pattern=(np.array([0, 1, 2]), np.array([2, 3, 0])),
     )
     return Problem(generator=gen, system=sys, params={"a1": a1, "a2": a2, "k": k})
 
@@ -291,15 +314,21 @@ def make_rl_ladder(n: int, kappa: float = 1.1) -> FullOrderSystem:
     T = np.diag(-2.0 * kappa * np.ones(n)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
     b = np.zeros(n)
     b[0] = 1.0
+    idx = np.arange(n)
+    rows = np.concatenate([idx, idx[1:], idx[:-1]])
+    cols = np.concatenate([idx, idx[:-1], idx[1:]])
+    T_pattern = T[rows, cols]
 
     def f(x, u):
         x = np.asarray(x, dtype=float)
-        u0 = np.atleast_1d(u)[0]
-        return T @ x - (x * x / 2.0 + x * x * x / 3.0) + b * u0
+        # x @ T is T x per point because T is symmetric
+        return x @ T - (x * x / 2.0 + x * x * x / 3.0) + b * np.atleast_1d(u)[..., :1]
 
     def f_jacobian_x(x, u):
         x = np.asarray(x, dtype=float)
-        return T - np.diag(x + x * x)
+        vals = np.broadcast_to(T_pattern, x.shape[:-1] + T_pattern.shape).copy()
+        vals[..., :n] -= x + x * x
+        return vals
 
     def f_jacobian_u(x, u):
         return b[:, None].copy()
@@ -311,7 +340,7 @@ def make_rl_ladder(n: int, kappa: float = 1.1) -> FullOrderSystem:
         n=n, m=1, p=1,
         f=f, h=h,
         f_jacobian_x=f_jacobian_x, f_jacobian_u=f_jacobian_u,
-        structure_tag="chain_cubic",
+        jacobian_pattern=(rows, cols), degree=3,
     )
 
 
@@ -341,20 +370,22 @@ def make_van_der_pol(mu: float = 0.25) -> SignalGenerator:
 
 
 def make_rl_linear(n: int = 2, a: float = 2.0, kappa: float = 1.1) -> Problem:
-    """RL ladder driven by the harmonic oscillator generator."""
+    """RL ladder driven by the harmonic oscillator generator; its reduced
+    models use the 'chain_linear' gain."""
     return Problem(
         generator=make_linear_oscillator(a),
         system=make_rl_ladder(n, kappa),
-        params={"a": a, "kappa": kappa},
+        params={"a": a, "kappa": kappa, "gain": "chain_linear"},
     )
 
 
 def make_rl_vdp(n: int = 2, mu: float = 0.25, kappa: float = 1.1) -> Problem:
-    """RL ladder driven by the Van der Pol generator."""
+    """RL ladder driven by the Van der Pol generator; its reduced models use
+    the 'chain_vdp' gain."""
     return Problem(
         generator=make_van_der_pol(mu),
         system=make_rl_ladder(n, kappa),
-        params={"mu": mu, "kappa": kappa},
+        params={"mu": mu, "kappa": kappa, "gain": "chain_vdp"},
     )
 
 
@@ -370,7 +401,8 @@ def linearize(problem: Problem):
     zero_u = np.zeros(sys.m)
     S = np.asarray(gen.s_jacobian(zero_w), dtype=float)
     L = np.atleast_2d(np.asarray(gen.l_jacobian(zero_w), dtype=float))
-    A_sys = np.asarray(sys.f_jacobian_x(zero_x, zero_u), dtype=float)
+    A_sys = np.zeros((sys.n, sys.n))
+    A_sys[sys.jacobian_pattern] = sys.f_jacobian_x(zero_x, zero_u)
     B_sys = np.asarray(sys.f_jacobian_u(zero_x, zero_u), dtype=float).reshape(sys.n, sys.m)
     return S, L, A_sys, B_sys
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Basis, eval_basis, eval_basis_gradient
-from .assembly import _eval_map_at, _f_at_nodes
 from .problems import Problem
 from .quadrature import BoxDomain, tensor_rule
 
@@ -41,14 +40,12 @@ def _residual_at_nodes(problem: Problem, basis: Basis, C: np.ndarray, nodes: np.
     gen = problem.generator
     bvals = eval_basis(basis, nodes)                  # (K, N)
     grads = eval_basis_gradient(basis, nodes)         # (K, N, d)
-    svals = _eval_map_at(gen.s, nodes, gen.d)
-    lvals = _eval_map_at(gen.l, nodes, gen.m)
+    svals = gen.s(nodes)                              # (K, d)
     pivals = bvals @ C.T                              # (K, n)
     advect = np.zeros_like(pivals)
     for j in range(gen.d):
         advect += (grads[:, :, j] @ C.T) * svals[:, j:j + 1]
-    fvals = _f_at_nodes(problem, pivals, lvals)
-    return advect - fvals                             # (K, n)
+    return advect - problem.system.f(pivals, gen.l(nodes))   # (K, n)
 
 
 def residual_norm(

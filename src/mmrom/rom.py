@@ -130,11 +130,12 @@ def verify_rom_stability(rom: ReducedOrderModel, problem: Problem, step: float =
 
 
 def default_gain(problem: Problem, c: float = 10.0, target_margin: float = 0.5) -> GainSpec:
-    """Benchmark-appropriate gain: hand-crafted for the ladder problems,
-    pole-relocated constant matrix otherwise."""
-    if problem.system.structure_tag == "chain_cubic":
-        if "mu" in problem.params:
-            return GainSpec(kind="chain_vdp", c=c, mu=problem.params["mu"])
+    """Benchmark-appropriate gain: the hand-crafted kind a ladder problem
+    records in params["gain"], a pole-relocated constant matrix otherwise."""
+    kind = problem.params.get("gain")
+    if kind == "chain_vdp":
+        return GainSpec(kind="chain_vdp", c=c, mu=problem.params["mu"])
+    if kind == "chain_linear":
         return GainSpec(kind="chain_linear", c=c)
     S, L, _, _ = linearize(problem)
     return GainSpec(kind="constant", G=stabilizing_gain(S, L, target_margin))

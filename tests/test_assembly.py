@@ -1,13 +1,11 @@
 """Tests for Galerkin operator assembly, residual, and Jacobian."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmrom.assembly import (
     assemble_operators,
-    chain_F,
-    chain_Ntilde,
-    chain_P,
-    chain_Q,
     default_quadrature_order,
     jacobian_JF,
     residual_F,
@@ -16,6 +14,7 @@ from mmrom.basis import generate_basis
 from mmrom.linear import BlockTridiagonal
 from mmrom.problems import (
     Problem,
+    SignalGenerator,
     generator_from_tables,
     make_cart_pendulum,
     make_rl_linear,
@@ -25,12 +24,12 @@ from mmrom.problems import (
     system_from_tables,
     test1_exact_coefficients as exact_test1_coefficients,
 )
-from mmrom.quadrature import BoxDomain
+from mmrom.quadrature import BoxDomain, monomial_integral_tables
 
 
 def make_generic_ladder(n, kappa, generator, params):
-    """Ladder dynamics expressed as explicit coefficient tables, bypassing
-    the structured fast path; used to cross-check the two assembly routes."""
+    """Ladder dynamics expressed as explicit coefficient tables: the table
+    twin of the make_rl_ladder closure, used to cross-check the two."""
     f_tables = []
     for i in range(n):
         table = {}
@@ -58,10 +57,38 @@ def make_generic_ladder(n, kappa, generator, params):
     return Problem(generator=generator, system=sys, params=params)
 
 
+def _dense(J):
+    return J.to_dense() if isinstance(J, BlockTridiagonal) else J
+
+
+def _exact_integrals(domain, exponent_sums):
+    """Exact box integrals of the monomials whose exponents are the last axis."""
+    table = monomial_integral_tables(domain, int(exponent_sums.max()))
+    return np.prod(table[exponent_sums, np.arange(exponent_sums.shape[-1])], axis=-1)
+
+
 def test_default_quadrature_order():
     assert default_quadrature_order(make_test1(), 2) == 10
     assert default_quadrature_order(make_test1(), 6) == 13
+    assert default_quadrature_order(make_rl_linear(2), 6) == 13
     assert default_quadrature_order(make_cart_pendulum(), 6) == 32
+
+
+def test_default_quadrature_exact_for_quintic_dynamics():
+    # test1 plus -0.2 x_i^5: phi * f(pi^N) reaches degree 6 + 5 * 6 at M = 6
+    prob = make_test1(2.0)
+    f_tables = [
+        {(1, 0, 0): -1.0, (0, 0, 1): 1.0, (5, 0, 0): -0.2},
+        {(0, 1, 0): -1.0, (1, 0, 1): 1.0, (0, 5, 0): -0.2},
+    ]
+    sys = system_from_tables(n=2, m=1, p=1, f_tables=f_tables, h_tables=[{(1, 0): 1.0}])
+    quintic = Problem(generator=prob.generator, system=sys, params={})
+    basis = generate_basis(2, 6)
+    dom = BoxDomain.cube(1.0, d=2)
+    c = np.random.default_rng(0).normal(scale=0.3, size=2 * basis.size)
+    F = residual_F(quintic, assemble_operators(quintic, basis, dom), c)
+    F_ref = residual_F(quintic, assemble_operators(quintic, basis, dom, q=60), c)
+    assert np.linalg.norm(F - F_ref) <= 1e-12 * np.linalg.norm(F_ref)
 
 
 def test_mass_matrix_1d_hand_values():
@@ -73,7 +100,8 @@ def test_mass_matrix_1d_hand_values():
                              h_tables=[{(1,): 1.0}])
     ops = assemble_operators(Problem(generator=gen, system=sys, params={}), basis, dom)
     # basis (w, w^2) on [-1, 1]: entries are 1-D monomial integrals
-    assert np.allclose(ops.Mmat, [[2.0 / 3.0, 0.0], [0.0, 2.0 / 5.0]], atol=1e-14)
+    mass = ops.basis_products.sum(axis=0).reshape(2, 2)
+    assert np.allclose(mass, [[2.0 / 3.0, 0.0], [0.0, 2.0 / 5.0]], atol=1e-14)
 
 
 def test_advection_matrix_hand_values():
@@ -86,40 +114,53 @@ def test_advection_matrix_hand_values():
 
 
 def test_gamma_hand_values():
-    # l(w) = w1, so only the first basis function has a nonzero projection
+    # f(0, u) = (u, 0), so F(0) is minus the projection of l(w) = w1, which
+    # is nonzero for the first basis function only
     prob = make_test1(2.0)
     basis = generate_basis(2, 2)
     ops = assemble_operators(prob, basis, BoxDomain.cube(1.0, d=2))
-    assert np.allclose(ops.gamma, [4.0 / 3.0, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
+    F0 = residual_F(prob, ops, np.zeros(2 * basis.size)).reshape(2, basis.size)
+    assert np.allclose(F0[0], [-4.0 / 3.0, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
+    assert np.allclose(F0[1], 0.0, atol=1e-14)
 
 
 def test_quadrature_assembly_agrees_with_exact():
-    # for polynomial data the exact tables and a high-order rule must agree
+    # the closed-form advection matrix of a polynomial generator equals the
+    # quadrature one of the same generator given as a plain callable
     prob = make_rl_linear(2)
+    gen = prob.generator
+    callable_gen = SignalGenerator(d=2, m=1, s=lambda w: gen.s(w), l=gen.l,
+                                   s_jacobian=gen.s_jacobian, l_jacobian=gen.l_jacobian)
     basis = generate_basis(2, 3)
     dom = BoxDomain.cube(1.5, d=2)
     exact = assemble_operators(prob, basis, dom)
-    quad = assemble_operators(prob, basis, dom, q=24)
-    assert np.allclose(exact.Mmat, quad.Mmat, rtol=1e-12, atol=1e-12)
+    quad = assemble_operators(Problem(callable_gen, prob.system, prob.params), basis, dom, q=24)
     assert np.allclose(exact.A, quad.A, rtol=1e-12, atol=1e-12)
-    assert np.allclose(exact.gamma, quad.gamma, rtol=1e-12, atol=1e-12)
+    c = np.random.default_rng(3).normal(scale=0.3, size=2 * basis.size)
+    assert np.allclose(residual_F(prob, exact, c), residual_F(prob, quad, c),
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_triple_tensor_hand_values():
+    # the default rule at M = 6 integrates every triple and quadruple basis
+    # product exactly (degree 4M); the cubic ladder needs no more
     prob = make_rl_linear(2)
-    basis = generate_basis(2, 2)
-    ops = assemble_operators(prob, basis, BoxDomain.cube(1.0, d=2))
-    N = ops.Ntensor
-    # basis order (w1, w2, w1^2, w1 w2, w2^2)
-    assert np.isclose(N[0, 0, 2], 4.0 / 5.0)  # int w1^4
-    assert np.isclose(N[0, 1, 3], 4.0 / 9.0)  # int w1^2 w2^2
-    assert np.isclose(N[0, 0, 0], 0.0)        # odd parity
-    # full symmetry in all index permutations
-    assert np.allclose(N, np.transpose(N, (1, 0, 2)))
-    assert np.allclose(N, np.transpose(N, (0, 2, 1)))
-    O = ops.Otensor
-    assert np.isclose(O[0, 0, 0, 0], 4.0 / 5.0)  # int w1^4
-    assert np.allclose(O, np.transpose(O, (3, 1, 2, 0)))
+    basis = generate_basis(2, 6)
+    dom = BoxDomain.cube(1.0, d=2)
+    ops = assemble_operators(prob, basis, dom)
+    N, E = basis.size, basis.exponents
+    B, BB = ops.basis_values, ops.basis_products
+    triple = (BB.T @ B).reshape(N, N, N)
+    quad = (BB.T @ (B[:, :, None] * B[:, None, :]).reshape(-1, N * N)).reshape(N, N, N, N)
+    exact3 = _exact_integrals(dom, E[:, None, None, :] + E[None, :, None, :] + E[None, None, :, :])
+    exact4 = _exact_integrals(dom, E[:, None, None, None, :] + E[None, :, None, None, :]
+                              + E[None, None, :, None, :] + E[None, None, None, :, :])
+    assert np.allclose(triple, exact3, rtol=0, atol=1e-14)
+    assert np.allclose(quad, exact4, rtol=0, atol=1e-14)
+    # basis order starts (w1, w2, w1^2, w1 w2, w2^2)
+    assert np.isclose(triple[0, 0, 2], 4.0 / 5.0)  # int w1^4
+    assert np.isclose(triple[0, 1, 3], 4.0 / 9.0)  # int w1^2 w2^2
+    assert np.isclose(quad[0, 0, 0, 0], 4.0 / 5.0)  # int w1^4
 
 
 def test_exact_test1_coefficients_have_zero_residual():
@@ -154,9 +195,10 @@ def test_chain_path_matches_generic_path(n, M, kind):
     J_chain = jacobian_JF(chain_prob, ops_chain, c)
     J_generic = jacobian_JF(generic_prob, ops_generic, c)
     assert isinstance(J_chain, BlockTridiagonal)
-    Jc = J_chain.to_dense()
-    jscale = np.linalg.norm(J_generic)
-    assert np.linalg.norm(Jc - J_generic) <= 1e-10 * max(jscale, 1.0)
+    assert isinstance(J_generic, BlockTridiagonal)
+    Jc, Jg = J_chain.to_dense(), J_generic.to_dense()
+    jscale = np.linalg.norm(Jg)
+    assert np.linalg.norm(Jc - Jg) <= 1e-10 * max(jscale, 1.0)
 
 
 @pytest.mark.parametrize("make,M", [
@@ -173,8 +215,7 @@ def test_jacobian_matches_finite_differences(make, M):
     n, N = prob.system.n, basis.size
     rng = np.random.default_rng(11)
     c = rng.normal(scale=0.2, size=n * N)
-    J = jacobian_JF(prob, ops, c)
-    Jd = J.to_dense() if isinstance(J, BlockTridiagonal) else J
+    Jd = _dense(jacobian_JF(prob, ops, c))
     h = 1e-6
     fd = np.empty_like(Jd)
     for j in range(n * N):
@@ -200,7 +241,7 @@ def test_linear_problem_residual_is_affine():
     rng = np.random.default_rng(2)
     c1 = rng.normal(size=2 * basis.size)
     c2 = rng.normal(size=2 * basis.size)
-    J1, J2 = jacobian_JF(prob, ops, c1), jacobian_JF(prob, ops, c2)
+    J1, J2 = _dense(jacobian_JF(prob, ops, c1)), _dense(jacobian_JF(prob, ops, c2))
     assert np.allclose(J1, J2, atol=1e-12)
     # affine consistency: F(c2) - F(c1) = J (c2 - c1)
     dF = residual_F(prob, ops, c2) - residual_F(prob, ops, c1)
@@ -210,20 +251,69 @@ def test_linear_problem_residual_is_affine():
 def test_chain_operators_consistency():
     prob = make_rl_linear(3)
     basis = generate_basis(2, 2)
-    ops = assemble_operators(prob, basis, BoxDomain.cube(1.0, d=2))
-    kappa = prob.params["kappa"]
+    dom = BoxDomain.cube(1.0, d=2)
+    ops = assemble_operators(prob, basis, dom)
+    N, E = basis.size, basis.exponents
     rng = np.random.default_rng(9)
-    v = rng.normal(size=basis.size)
-    # P and Q agree with the residual's directional structure at c = (v, 0, 0)
-    c = np.concatenate([v, np.zeros(2 * basis.size)])
-    F = chain_F(ops, c, kappa).reshape(3, basis.size)
-    expected_first = chain_P(ops, v, kappa) - ops.gamma
-    assert np.allclose(F[0], expected_first, rtol=1e-12, atol=1e-12)
-    # Q is the derivative of P
+    v = rng.normal(size=N)
+    c = np.concatenate([v, np.zeros(2 * N)])
+    J = jacobian_JF(prob, ops, c)
+    # df_i/dx_{i+-1} = 1, so every coupling block is minus the exact mass matrix
+    mass = _exact_integrals(dom, E[:, None, :] + E[None, :, :])
+    assert np.allclose(J.sub, -mass, rtol=0, atol=1e-14)
+    assert np.allclose(J.sup, -mass, rtol=0, atol=1e-14)
+    # the diagonal block less the advection matrix is symmetric
+    assert np.allclose(J.diag[0] - ops.A, (J.diag[0] - ops.A).T, atol=1e-13)
+    # and it is the derivative of the first residual block along the first block
     h = 1e-7
-    w = rng.normal(size=basis.size)
-    dP = (chain_P(ops, v + h * w, kappa) - chain_P(ops, v - h * w, kappa)) / (2 * h)
-    assert np.allclose(chain_Q(ops, v, kappa) @ w, dP, rtol=1e-6, atol=1e-7)
-    # Ntilde is symmetric in its two free indices
-    Nt = chain_Ntilde(ops, v)
-    assert np.allclose(Nt, Nt.T, atol=1e-13)
+    w = np.concatenate([rng.normal(size=N), np.zeros(2 * N)])
+    dF = (residual_F(prob, ops, c + h * w) - residual_F(prob, ops, c - h * w)) / (2 * h)
+    assert np.allclose(J.diag[0] @ w[:N], dF[:N], rtol=1e-6, atol=1e-7)
+    assert np.allclose(J.sub[0] @ w[:N], dF[N:2 * N], rtol=1e-6, atol=1e-7)
+
+
+def _random_sparse_system(rng, n, degree):
+    """Random polynomial tables over (x, u): each component has 1-4 terms
+    of total degree 1..degree with coefficients of magnitude 0.5-2."""
+    f_tables = []
+    for _ in range(n):
+        table = {}
+        for _ in range(int(rng.integers(1, 5))):
+            exp = [0] * (n + 1)
+            for _ in range(int(rng.integers(1, degree + 1))):
+                exp[int(rng.integers(0, n + 1))] += 1
+            table[tuple(exp)] = float(rng.choice([-1, 1]) * rng.uniform(0.5, 2.0))
+        f_tables.append(table)
+    h_exp = [0] * n
+    h_exp[0] = 1
+    return system_from_tables(n=n, m=1, p=1, f_tables=f_tables, h_tables=[{tuple(h_exp): 1.0}])
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 5), degree=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_jacobian_pattern_and_JF_on_random_sparse_tables(n, degree, seed):
+    rng = np.random.default_rng(seed)
+    sys = _random_sparse_system(rng, n, degree)
+    rows, cols = sys.jacobian_pattern
+
+    # the derived pattern is the nonzero set of a finite-difference df/dx
+    x = rng.choice([-1, 1], size=n) * rng.uniform(0.3, 1.0, size=n)
+    u = np.array([0.7])
+    h = 1e-6
+    fd = np.column_stack([(sys.f(x + h * e, u) - sys.f(x - h * e, u)) / (2 * h) for e in np.eye(n)])
+    dense = np.zeros((n, n))
+    dense[rows, cols] = sys.f_jacobian_x(x, u)
+    assert set(zip(rows.tolist(), cols.tolist())) == set(zip(*np.nonzero(np.abs(fd) > 1e-7)))
+    assert np.allclose(dense, fd, rtol=1e-6, atol=1e-7)
+
+    # JF matches central differences of F, and its type follows the band
+    prob = Problem(generator=make_test1(2.0).generator, system=sys, params={})
+    basis = generate_basis(2, 2)
+    ops = assemble_operators(prob, basis, BoxDomain.cube(1.0, d=2))
+    dim = n * basis.size
+    c = rng.normal(scale=0.2, size=dim)
+    J = jacobian_JF(prob, ops, c)
+    assert isinstance(J, BlockTridiagonal) == bool(np.all(np.abs(rows - cols) <= 1))
+    fdJ = np.column_stack([(residual_F(prob, ops, c + h * e) - residual_F(prob, ops, c - h * e))
+                           / (2 * h) for e in np.eye(dim)])
+    assert np.abs(_dense(J) - fdJ).max() <= 1e-5 * max(np.abs(fdJ).max(), 1.0)

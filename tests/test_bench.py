@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from mmrom import bench
 from mmrom.bench import (
     DEGREES,
     HALF_WIDTHS,
@@ -52,6 +53,18 @@ def test_reproduce_desk_scale_skips_large_problems():
         reproduce_table("T99")
     with pytest.raises(ValueError):
         reproduce_table("T1", scale="huge")
+
+
+def test_reproduce_records_failure_cause(monkeypatch):
+    def broken(spec, half_width, M):
+        raise TypeError("bad operand")
+
+    monkeypatch.setattr(bench, "run_residual_cell", broken)
+    results = reproduce_table("T1")
+    assert len(results) == 3
+    for r in results:
+        assert not r.passed and not r.converged
+        assert r.error.startswith("TypeError:") and "bad operand" in r.error
 
 
 def test_write_results_csv(tmp_path):

@@ -55,7 +55,8 @@ def test_load_and_dump_round_trip(tmp_path):
 def test_build_problem_builtins():
     prob = build_problem(base_config())
     assert prob.system.n == 2
-    assert prob.system.structure_tag == "chain_cubic"
+    rows, cols = prob.system.jacobian_pattern
+    assert sorted(zip(rows.tolist(), cols.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     cfg = base_config()
     cfg["problem"] = {"name": "test1", "params": {"a": 3.0}}

@@ -23,12 +23,15 @@ from mmrom.problems import (
     Problem,
     linearize,
     make_cart_pendulum,
+    make_linear_oscillator,
+    make_rl_ladder,
     make_rl_linear,
     make_test1,
     system_from_tables,
     test1_exact_coefficients as exact_test1_coefficients,
 )
 from mmrom.quadrature import BoxDomain
+from mmrom.residuals import residual_norm
 
 
 class TestBackends:
@@ -54,9 +57,9 @@ class TestBackends:
     def test_block_tridiagonal_matches_dense(self):
         rng = np.random.default_rng(4)
         N, n = 5, 6
-        diag = [rng.normal(size=(N, N)) + 6 * np.eye(N) for _ in range(n)]
-        off = rng.normal(size=(N, N))
-        A = BlockTridiagonal(diag=diag, off=off)
+        diag = rng.normal(size=(n, N, N)) + 6 * np.eye(N)
+        A = BlockTridiagonal(diag=diag, sub=rng.normal(size=(n - 1, N, N)),
+                             sup=rng.normal(size=(n - 1, N, N)))
         b = rng.normal(size=n * N)
         x = solve_block_tridiagonal(A, b)
         assert np.allclose(x, np.linalg.solve(A.to_dense(), b), rtol=1e-10, atol=1e-12)
@@ -76,6 +79,15 @@ class TestBackends:
         scale = np.linalg.norm(d_dense)
         assert np.linalg.norm(d_block - d_dense) <= 1e-9 * scale
         assert np.linalg.norm(d_pinv - d_dense) <= 1e-8 * scale
+
+    def test_dense_fallback_refuses_huge_matrix(self):
+        # 2000 blocks of 27 x 27 would be a 23 GB dense matrix
+        block = np.eye(27)
+        JF = BlockTridiagonal(diag=np.broadcast_to(block, (2000, 27, 27)),
+                              sub=np.broadcast_to(block, (1999, 27, 27)),
+                              sup=np.broadcast_to(block, (1999, 27, 27)))
+        with pytest.raises(MemoryError, match=r"n=2000 .*N=27.* 23328000000 bytes"):
+            newton_step(JF, np.ones(2000 * 27), "pseudoinverse")
 
 
 class TestSolverOptions:
@@ -136,6 +148,16 @@ class TestSolveInvariance:
         sol = solve_invariance(prob, ops, SolverOptions(backend="dense_lu"))
         assert sol.converged
         assert sol.backend_used == "pseudoinverse"
+
+    @pytest.mark.parametrize("params", [{"kappa": 1.1}, {}])
+    def test_ladder_dynamics_come_from_the_system(self, params):
+        # the system's own kappa = 2.0 governs, whatever the params say
+        prob = Problem(make_linear_oscillator(2.0), make_rl_ladder(3, kappa=2.0), params=params)
+        basis = generate_basis(2, 4)
+        dom = BoxDomain.cube(1.0, d=2)
+        sol = solve_invariance(prob, assemble_operators(prob, basis, dom))
+        assert sol.converged
+        assert residual_norm(prob, basis, sol.c, W=dom).weighted_norm < 1e-4
 
     def test_max_iter_cap_reports_not_converged(self):
         prob = make_rl_linear(2)

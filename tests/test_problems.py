@@ -21,6 +21,13 @@ from mmrom.problems import (
 )
 
 
+def _dense_fx(sys, x, u):
+    """df/dx at one point, scattered from the values on the pattern."""
+    out = np.zeros((sys.n, sys.n))
+    out[sys.jacobian_pattern] = sys.f_jacobian_x(x, u)
+    return out
+
+
 def _fd_jacobian(fn, z, h=1e-6):
     z = np.asarray(z, dtype=float)
     f0 = np.atleast_1d(fn(z))
@@ -111,7 +118,7 @@ class TestCartPendulum:
         x = np.array([0.3, -0.1, 0.2, 0.5])
         u = np.array([0.7])
         assert np.allclose(
-            sys.f_jacobian_x(x, u), _fd_jacobian(lambda z: sys.f(z, u), x),
+            _dense_fx(sys, x, u), _fd_jacobian(lambda z: sys.f(z, u), x),
             rtol=1e-6, atol=1e-7,
         )
         assert np.allclose(
@@ -161,15 +168,17 @@ class TestLadder:
         x = np.array([0.3, -0.2, 0.1, 0.4])
         u = np.array([0.5])
         assert np.allclose(
-            sys.f_jacobian_x(x, u), _fd_jacobian(lambda z: sys.f(z, u), x),
+            _dense_fx(sys, x, u), _fd_jacobian(lambda z: sys.f(z, u), x),
             rtol=1e-6, atol=1e-7,
         )
         assert np.allclose(sys.f_jacobian_u(x, u)[:, 0], np.eye(4)[0])
 
-    def test_structure_tag(self):
-        assert make_rl_ladder(2).structure_tag == "chain_cubic"
-        assert make_rl_linear(3).system.structure_tag == "chain_cubic"
-        assert make_rl_vdp(3).system.structure_tag == "chain_cubic"
+    def test_jacobian_pattern_is_tridiagonal(self):
+        for sys in (make_rl_ladder(2), make_rl_linear(3).system, make_rl_vdp(5).system):
+            rows, cols = sys.jacobian_pattern
+            tridiagonal = np.abs(np.subtract.outer(np.arange(sys.n), np.arange(sys.n))) <= 1
+            assert set(zip(rows.tolist(), cols.tolist())) == set(zip(*np.nonzero(tridiagonal)))
+            assert sys.degree == 3
 
 
 class TestGenerators:
@@ -186,6 +195,24 @@ class TestGenerators:
         assert np.allclose(gen.s(w), [2.0, -0.5 + 0.25 * (1 - 0.25) * 2.0])
         with pytest.raises(ValueError):
             make_van_der_pol(0.0)
+
+
+@pytest.mark.parametrize("make", [make_test1, make_cart_pendulum,
+                                  lambda: make_rl_linear(3), lambda: make_rl_vdp(2)])
+def test_batched_evaluation_matches_pointwise(make):
+    prob = make()
+    gen, sys = prob.generator, prob.system
+    rng = np.random.default_rng(6)
+    W = rng.uniform(-0.8, 0.8, size=(2, 3, gen.d))
+    X = rng.uniform(-0.8, 0.8, size=(2, 3, sys.n))
+    U = gen.l(W)
+    assert U.shape == (2, 3, sys.m)
+    for name, fn, args in (("s", gen.s, (W,)), ("l", gen.l, (W,)),
+                           ("f", sys.f, (X, U)), ("f_jacobian_x", sys.f_jacobian_x, (X, U))):
+        batched = fn(*args)
+        for idx in np.ndindex(2, 3):
+            point = fn(*(a[idx] for a in args))
+            assert np.allclose(batched[idx], point, rtol=1e-14, atol=1e-15), name
 
 
 def test_problem_input_dimension_mismatch_rejected():
