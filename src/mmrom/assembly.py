@@ -69,7 +69,7 @@ def _exact_advection(s_poly, basis: Basis, domain: BoxDomain) -> np.ndarray:
         nu_k = E[:, k].astype(float)
         dE = E.copy()
         dE[:, k] = np.maximum(dE[:, k] - 1, 0)
-        for exps, coef in zip(*s_poly._terms[k]):
+        for exps, coef in sorted(s_poly.tables[k].items()):
             sumexp = E[:, None, :] + (dE + exps)[None, :, :]
             A += coef * nu_k[None, :] * _table_product(table, sumexp)
     return A

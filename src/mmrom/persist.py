@@ -56,6 +56,9 @@ def read_coefficients(path) -> dict:
                 header[key.strip()] = val.strip()
             else:
                 values.append(float(line))
+    fmt = int(header.get("format", "1"))
+    if fmt > FORMAT_VERSION:
+        raise ValueError(f"file format {fmt} is newer than the supported {FORMAT_VERSION}")
     n = int(header["n"])
     d = int(header["d"])
     M = int(header["M"])
@@ -78,5 +81,5 @@ def read_coefficients(path) -> dict:
         "N": N,
         "domain": domain,
         "fingerprint": header.get("problem", ""),
-        "format": int(header.get("format", "1")),
+        "format": fmt,
     }

@@ -6,10 +6,11 @@ coefficient tables (exponent multi-index -> coefficient, per component),
 which enables exact integration during operator assembly; transcendental
 dynamics are provided through the built-in constructors.
 
-s, l and f accept batched inputs (..., d) and (..., n), (..., m).  A system
-also states the structural nonzeros of df/dx (``jacobian_pattern``), with
-``f_jacobian_x`` returning the values on them, and the polynomial degree of
-f in (x, u) (``degree``, None for non-polynomial f).
+s, l, f and h accept batched inputs (..., d), (..., d), (..., n) with
+(..., m), and (..., n).  A system also states the structural nonzeros of
+df/dx (``jacobian_pattern``), with ``f_jacobian_x`` returning the values on
+them, and the polynomial degree of f in (x, u) (``degree``, None for
+non-polynomial f).
 """
 from __future__ import annotations
 
@@ -18,15 +19,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _terms(table: dict, nvars: int):
-    """Exponent rows (T, nvars) and coefficients (T,) of a coefficient table."""
-    items = sorted(table.items())
-    exps = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), nvars)
-    return exps, np.array([c for _, c in items], dtype=float)
+def _sparse_terms(table: dict) -> list:
+    """Terms (coef, ((j, e), ...)) of a coefficient table, in sorted-exponent
+    order, each keeping only its nonzero exponents."""
+    return [(c, tuple((j, e) for j, e in enumerate(exps) if e)) for exps, c in sorted(table.items())]
 
 
-def _eval_terms(pts: np.ndarray, exps: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    return np.prod(pts[:, None, :] ** exps[None, :, :], axis=2) @ coefs
+def _sum_terms(terms, z):
+    """sum of coef * prod_j z[j] ** e over the terms, factors multiplied in
+    variable order; ``z`` holds floats (one point) or arrays (a batch)."""
+    total = 0.0
+    for coef, factors in terms:
+        prod = 1.0
+        for j, e in factors:
+            prod = prod * z[j] ** e
+        total = total + prod * coef
+    return total
 
 
 class PolyMap:
@@ -34,39 +42,38 @@ class PolyMap:
 
     ``tables`` is a list (one entry per output component) of dicts mapping
     exponent tuples of length ``nvars`` to real coefficients.  Calls accept
-    one point (nvars,) or a batch (..., nvars).
+    one point (nvars,) or a batch (..., nvars).  ``terms`` holds each
+    component as sparse terms, ``partial_terms`` each structurally nonzero
+    partial d p_i / d z_j, keyed (i, j).
     """
 
     def __init__(self, tables, nvars: int):
         self.nvars = nvars
         self.nout = len(tables)
         self.tables = [dict(t) for t in tables]
-        self._terms = [_terms(t, nvars) for t in self.tables]
-        # (i, j) -> terms of d p_i / d z_j, for every structurally nonzero partial
-        self._partials = {}
+        self.terms = [_sparse_terms(t) for t in self.tables]
+        self.partial_terms = {}
         for i, table in enumerate(self.tables):
             for j in sorted({j for e, c in table.items() if c != 0 for j in range(nvars) if e[j] > 0}):
                 dtable = {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
                           for e, c in table.items() if e[j] > 0}
-                self._partials[(i, j)] = _terms(dtable, nvars)
+                self.partial_terms[(i, j)] = _sparse_terms(dtable)
 
     def __call__(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        pts = z.reshape(-1, self.nvars)
-        out = np.empty((pts.shape[0], self.nout))
-        for i, (exps, coefs) in enumerate(self._terms):
-            out[:, i] = _eval_terms(pts, exps, coefs)
-        return out.reshape(z.shape[:-1] + (self.nout,))
+        return self._evaluate(self.terms, z)
 
     def partials(self, z, rows, cols) -> np.ndarray:
         """d p_i / d z_j at z for each pair (i, j) of rows and cols, shape (..., len(rows))."""
+        return self._evaluate([self.partial_terms.get(key, ()) for key in zip(rows, cols)], z)
+
+    def _evaluate(self, components, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        pts = z.reshape(-1, self.nvars)
-        out = np.zeros((pts.shape[0], len(rows)))
-        for k, key in enumerate(zip(rows, cols)):
-            if key in self._partials:
-                out[:, k] = _eval_terms(pts, *self._partials[key])
-        return out.reshape(z.shape[:-1] + (len(rows),))
+        # one point is evaluated on Python floats, far cheaper than 0-d arrays
+        columns = z.tolist() if z.ndim == 1 else np.moveaxis(z, -1, 0)
+        out = np.empty(z.shape[:-1] + (len(components),))
+        for i, terms in enumerate(components):
+            out[..., i] = _sum_terms(terms, columns)  # a constant broadcasts
+        return out
 
     def jacobian(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -74,7 +81,7 @@ class PolyMap:
         return self.partials(z, rows, cols).reshape(z.shape[:-1] + (self.nout, self.nvars))
 
     def max_degree(self) -> int:
-        return max((int(e.sum(axis=1).max()) for e, _ in self._terms if len(e)), default=0)
+        return max((sum(e) for table in self.tables for e in table), default=0)
 
 
 @dataclass
@@ -97,7 +104,7 @@ class SignalGenerator:
 
 @dataclass
 class FullOrderSystem:
-    """Controlled dynamics x' = f(x, u), y = h(x).
+    """Controlled dynamics x' = f(x, u), y = h(x), both batched over (..., n).
 
     ``jacobian_pattern`` is the pair (rows, cols) of integer arrays naming
     the structural nonzeros of df/dx; ``f_jacobian_x(x, u)`` returns the
@@ -159,7 +166,7 @@ def system_from_tables(n: int, m: int, p: int, f_tables, h_tables) -> FullOrderS
     h_map = PolyMap(h_tables, n)
     if f_map.nout != n or h_map.nout != p:
         raise ValueError("table counts inconsistent with n, p")
-    pairs = [(i, j) for i, j in sorted(f_map._partials) if j < n]
+    pairs = [(i, j) for i, j in sorted(f_map.partial_terms) if j < n]
     rows = np.array([i for i, _ in pairs], dtype=np.int64)
     cols = np.array([j for _, j in pairs], dtype=np.int64)
 
@@ -280,7 +287,7 @@ def make_cart_pendulum(a1: float = 2.0, a2: float = 3.0, k: float = -2.0 / 3.0) 
     gen = SignalGenerator(d=2, m=1, s=s, l=l, s_jacobian=s_jacobian, l_jacobian=l_jacobian)
 
     def h(x):
-        return np.array([x[0]])
+        return np.asarray(x, dtype=float)[..., :1]
 
     sys = FullOrderSystem(
         n=4, m=1, p=1,
@@ -311,10 +318,13 @@ def make_rl_ladder(n: int, kappa: float = 1.1) -> FullOrderSystem:
     """
     if n < 2:
         raise ValueError(f"require n >= 2, got n={n}")
-    T = np.diag(-2.0 * kappa * np.ones(n)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    idx = np.arange(n)
+    T = np.zeros((n, n))
+    T[idx, idx] = -2.0 * kappa
+    T[idx[1:], idx[:-1]] = 1.0
+    T[idx[:-1], idx[1:]] = 1.0
     b = np.zeros(n)
     b[0] = 1.0
-    idx = np.arange(n)
     rows = np.concatenate([idx, idx[1:], idx[:-1]])
     cols = np.concatenate([idx, idx[:-1], idx[1:]])
     T_pattern = T[rows, cols]
@@ -334,7 +344,7 @@ def make_rl_ladder(n: int, kappa: float = 1.1) -> FullOrderSystem:
         return b[:, None].copy()
 
     def h(x):
-        return np.array([x[0]])
+        return np.asarray(x, dtype=float)[..., :1]
 
     return FullOrderSystem(
         n=n, m=1, p=1,

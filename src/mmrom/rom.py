@@ -44,14 +44,14 @@ class GainSpec:
 
 @dataclass
 class ReducedOrderModel:
-    """Reduced dynamics s(r) - g(r) l(r) + g(r) u with output h(pi^N(r))."""
+    """Reduced dynamics s(r) - g(r) l(r) + g(r) u with output h(pi^N(r));
+    ``output`` takes one state (d,) or a batch of states (T, d)."""
 
     dim: int
     dynamics: callable = field(repr=False)
     output: callable = field(repr=False)
     gain_spec: GainSpec = None
     pi_solution: Solution = None
-    generator: object = field(default=None, repr=False)
 
 
 def build_rom(problem: Problem, solution: Solution, gain: GainSpec) -> ReducedOrderModel:
@@ -63,18 +63,15 @@ def build_rom(problem: Problem, solution: Solution, gain: GainSpec) -> ReducedOr
     C = solution.blocks(sys.n)
 
     def dynamics(r, u):
-        r = np.asarray(r, dtype=float)
         g = gain.matrix(r)
-        lr = np.atleast_1d(gen.l(r))
-        return np.atleast_1d(gen.s(r)) - g @ lr + g @ np.atleast_1d(u)
+        return gen.s(r) - g @ gen.l(r) + g @ u
 
     def output(r):
-        x = eval_basis(basis, np.asarray(r, dtype=float)) @ C.T
-        return np.atleast_1d(sys.h(x))
+        return sys.h(eval_basis(basis, r) @ C.T)
 
     rom = ReducedOrderModel(
         dim=gen.d, dynamics=dynamics, output=output,
-        gain_spec=gain, pi_solution=solution, generator=gen,
+        gain_spec=gain, pi_solution=solution,
     )
     report = verify_rom_stability(rom, problem)
     if not report["stable"]:
@@ -108,19 +105,15 @@ def stabilizing_gain(S: np.ndarray, L: np.ndarray, target_margin: float = 0.5) -
 
 
 def verify_rom_stability(rom: ReducedOrderModel, problem: Problem, step: float = 1e-6) -> dict:
-    """Finite-difference linearization of r -> s(r) - g(r) l(r) at the origin."""
-    gen = problem.generator
+    """Finite-difference linearization at the origin of the reduced dynamics
+    at u = 0, r -> s(r) - g(r) l(r)."""
     d = rom.dim
-
-    def field_at(r):
-        g = rom.gain_spec.matrix(r)
-        return np.atleast_1d(gen.s(r)) - g @ np.atleast_1d(gen.l(r))
-
+    u0 = np.zeros(problem.generator.m)
     J = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)
         e[j] = step
-        J[:, j] = (field_at(e) - field_at(-e)) / (2.0 * step)
+        J[:, j] = (rom.dynamics(e, u0) - rom.dynamics(-e, u0)) / (2.0 * step)
     eigs = np.linalg.eigvals(J)
     return {
         "stable": bool(np.max(eigs.real) < 0.0),

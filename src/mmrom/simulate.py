@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -68,21 +68,21 @@ def _integrate(rhs, z0: np.ndarray, config: SimConfig) -> tuple[np.ndarray, np.n
     return sol.t, sol.y.T
 
 
-def simulate_fom(problem: Problem, omega0, x0, config: SimConfig | None = None) -> Trajectory:
-    """Integrate the coupled generator/full-order system; outputs y = h(x)."""
-    config = config or SimConfig()
-    gen, sys = problem.generator, problem.system
-    omega0 = np.asarray(omega0, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    d = gen.d
+def _drive(generator, dynamics, omega0, state0, config: SimConfig | None):
+    """Integrate omega' = s(omega) together with state' = dynamics(state, l(omega))."""
+    d = generator.d
 
     def rhs(t, z):
-        omega, x = z[:d], z[d:]
-        u = np.atleast_1d(gen.l(omega))
-        return np.concatenate([np.atleast_1d(gen.s(omega)), sys.f(x, u)])
+        omega = z[:d]
+        return np.concatenate([generator.s(omega), dynamics(z[d:], generator.l(omega))])
 
-    times, states = _integrate(rhs, np.concatenate([omega0, x0]), config)
-    outputs = np.array([np.atleast_1d(sys.h(z[d:])) for z in states])
+    return _integrate(rhs, np.concatenate([omega0, state0], dtype=float), config or SimConfig())
+
+
+def simulate_fom(problem: Problem, omega0, x0, config: SimConfig | None = None) -> Trajectory:
+    """Integrate the coupled generator/full-order system; outputs y = h(x)."""
+    times, states = _drive(problem.generator, problem.system.f, omega0, x0, config)
+    outputs = problem.system.h(states[:, problem.generator.d:])
     return Trajectory(times=times, states=states, outputs=outputs)
 
 
@@ -90,17 +90,8 @@ def simulate_rom(
     rom: ReducedOrderModel, generator, omega0, r0, config: SimConfig | None = None
 ) -> Trajectory:
     """Integrate the coupled generator/reduced model; outputs y_r = h(pi^N(r))."""
-    config = config or SimConfig()
-    omega0 = np.asarray(omega0, dtype=float)
-    r0 = np.asarray(r0, dtype=float)
+    times, states = _drive(generator, rom.dynamics, omega0, r0, config)
     d = generator.d
-
-    def rhs(t, z):
-        omega, r = z[:d], z[d:]
-        u = np.atleast_1d(generator.l(omega))
-        return np.concatenate([np.atleast_1d(generator.s(omega)), rom.dynamics(r, u)])
-
-    times, states = _integrate(rhs, np.concatenate([omega0, r0]), config)
     domain = rom.pi_solution.domain if rom.pi_solution is not None else None
     if domain is not None:
         r_states = states[:, d:]
@@ -109,7 +100,7 @@ def simulate_rom(
                 "reduced state left the expansion domain; output values are extrapolated",
                 stacklevel=2,
             )
-    outputs = np.array([rom.output(z[d:]) for z in states])
+    outputs = rom.output(states[:, d:])
     return Trajectory(times=times, states=states, outputs=outputs)
 
 
@@ -123,6 +114,9 @@ def steady_state_rms(
     normalizer is half the peak-to-peak range of the first trajectory.
     """
     config = config or SimConfig()
+    p = max(y.outputs.shape[1], y_r.outputs.shape[1])
+    if p > 1:
+        raise ValueError(f"steady_state_rms scores one output; the trajectories have p = {p}")
     t0 = max(y.times[0], y_r.times[0])
     t1 = min(y.times[-1], y_r.times[-1])
     w0 = t1 - config.steady_window_fraction * (t1 - t0)

@@ -55,6 +55,15 @@ def test_length_mismatch_rejected(tmp_path):
         read_coefficients(path)
 
 
+def test_future_format_rejected(tmp_path):
+    path = _write(tmp_path, np.arange(1.0, 11.0))
+    text = path.read_text()
+    assert text.startswith("# format: 1\n")
+    path.write_text(text.replace("# format: 1", "# format: 2", 1))
+    with pytest.raises(ValueError, match="format 2"):
+        read_coefficients(path)
+
+
 def test_fingerprint_depends_on_name_and_params():
     a = problem_fingerprint("rl_linear", {"n": 2, "a": 2.0})
     b = problem_fingerprint("rl_linear", {"n": 3, "a": 2.0})

@@ -1,6 +1,8 @@
 """Tests for problem definitions, polynomial maps, and assumption checks."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmrom.basis import eval_expansion, generate_basis
 from mmrom.problems import (
@@ -57,6 +59,59 @@ class TestPolyMap:
     def test_max_degree(self):
         pm = PolyMap([{(2, 1): 1.0}, {(0, 4): 1.0}], nvars=2)
         assert pm.max_degree() == 4
+
+
+def _random_table(rng, kind: str, nvars: int, degree: int) -> dict:
+    if kind == "zero":
+        return {} if rng.random() < 0.5 else {(0,) * nvars: 0.0}
+    if kind == "constant":
+        return {(0,) * nvars: float(rng.normal())}
+    table = {}
+    for _ in range(int(rng.integers(1, 6))):
+        exp = [0] * nvars
+        for _ in range(1 if kind == "linear" else int(rng.integers(0, degree + 1))):
+            exp[int(rng.integers(0, nvars))] += 1
+        table[tuple(exp)] = float(rng.normal())
+    return table
+
+
+def _dense_polynomial(table: dict, nvars: int, z: np.ndarray, j: int | None = None) -> np.ndarray:
+    """Dense reference prod(z ** E) @ c, or its derivative in z_j."""
+    if not table:
+        return np.zeros(z.shape[:-1])
+    E = np.array(list(table), dtype=np.int64).reshape(len(table), nvars)
+    c = np.array(list(table.values()))
+    if j is not None:
+        c = c * E[:, j]
+        E = E.copy()
+        E[:, j] = np.maximum(E[:, j] - 1, 0)
+    return np.prod(z[..., None, :] ** E, -1) @ c
+
+
+@settings(max_examples=40, deadline=None)
+@given(nvars=st.integers(1, 4), degree=st.integers(1, 4),
+       kinds=st.lists(st.sampled_from(["zero", "constant", "linear", "general"]), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_polymap_matches_dense_reference(nvars, degree, kinds, seed):
+    rng = np.random.default_rng(seed)
+    tables = [_random_table(rng, kind, nvars, degree) for kind in kinds]
+    pm = PolyMap(tables, nvars)
+    rows, cols = np.divmod(np.arange(len(tables) * nvars), nvars)
+    for shape in ((), (5,), (2, 3)):
+        z = rng.uniform(-1.5, 1.5, size=shape + (nvars,))
+        values = pm(z)
+        partials = pm.partials(z, rows, cols)
+        assert values.shape == shape + (len(tables),)
+        assert partials.shape == shape + (len(rows),)
+        for i, table in enumerate(tables):
+            assert np.allclose(values[..., i], _dense_polynomial(table, nvars, z), rtol=1e-13, atol=1e-13)
+        for k, (i, j) in enumerate(zip(rows, cols)):
+            assert np.allclose(partials[..., k], _dense_polynomial(tables[i], nvars, z, j),
+                               rtol=1e-13, atol=1e-13)
+    # the partials are the derivatives of the map
+    z = rng.uniform(-1.5, 1.5, size=nvars)
+    fd = _fd_jacobian(pm, z)
+    assert np.allclose(pm.partials(z, rows, cols).reshape(len(tables), nvars), fd, rtol=1e-6, atol=1e-7)
 
 
 class TestTest1:
@@ -173,6 +228,15 @@ class TestLadder:
         )
         assert np.allclose(sys.f_jacobian_u(x, u)[:, 0], np.eye(4)[0])
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_coupling_matrix_matches_diag_construction(self, n):
+        kappa = 1.1
+        T = np.diag(-2.0 * kappa * np.ones(n)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        sys = make_rl_ladder(n, kappa)
+        eye = np.eye(n)
+        assert np.array_equal(sys.f(eye, np.zeros((n, 1))), T - (eye * eye / 2.0 + eye * eye * eye / 3.0))
+        assert np.array_equal(_dense_fx(sys, np.zeros(n), np.zeros(1)), T)
+
     def test_jacobian_pattern_is_tridiagonal(self):
         for sys in (make_rl_ladder(2), make_rl_linear(3).system, make_rl_vdp(5).system):
             rows, cols = sys.jacobian_pattern
@@ -208,7 +272,8 @@ def test_batched_evaluation_matches_pointwise(make):
     U = gen.l(W)
     assert U.shape == (2, 3, sys.m)
     for name, fn, args in (("s", gen.s, (W,)), ("l", gen.l, (W,)),
-                           ("f", sys.f, (X, U)), ("f_jacobian_x", sys.f_jacobian_x, (X, U))):
+                           ("f", sys.f, (X, U)), ("f_jacobian_x", sys.f_jacobian_x, (X, U)),
+                           ("h", sys.h, (X,))):
         batched = fn(*args)
         for idx in np.ndindex(2, 3):
             point = fn(*(a[idx] for a in args))

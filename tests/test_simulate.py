@@ -119,6 +119,15 @@ class TestSteadyStateRms:
         with pytest.raises(ValueError):
             steady_state_rms(flat, flat, cfg)
 
+    def test_more_than_one_output_rejected(self):
+        cfg = SimConfig()
+        scalar = self._traj(np.sin)
+        t = scalar.times
+        pair = Trajectory(times=t, states=scalar.states, outputs=np.column_stack([np.sin(t), np.cos(t)]))
+        for y, y_r in ((pair, scalar), (scalar, pair)):
+            with pytest.raises(ValueError, match="p = 2"):
+                steady_state_rms(y, y_r, cfg)
+
     def test_csv_export(self, tmp_path):
         traj = self._traj(np.sin, t_end=1.0, npts=11)
         path = tmp_path / "traj.csv"
