@@ -180,14 +180,12 @@ def make_benchmark_problem(name: str, n: int) -> Problem:
     raise ValueError(f"unknown benchmark problem {name!r}")
 
 
-def solve_benchmark(problem: Problem, half_width: float, M: int,
-                    backend: str | None = None) -> tuple[Solution, float]:
+def solve_benchmark(problem: Problem, half_width: float, M: int) -> tuple[Solution, float]:
     """Solve one (domain, degree) cell; returns the solution and wall time."""
     domain = BoxDomain.cube(half_width, d=problem.generator.d)
     basis = generate_basis(problem.generator.d, M)
     ops = assemble_operators(problem, basis, domain)
-    if backend is None:
-        backend = "pseudoinverse" if problem.generator.s_poly is None else "auto"
+    backend = "pseudoinverse" if problem.generator.s_poly is None else "auto"
     start = time.perf_counter()
     solution = solve_invariance(problem, ops, SolverOptions(backend=backend))
     return solution, time.perf_counter() - start
@@ -261,18 +259,13 @@ def run_timing_row(spec: dict, n: int) -> CellResult:
                       seconds=seconds)
 
 
-def reproduce_table(table_id: str, scale: str = "desk") -> list[CellResult]:
-    """Run every cell of a reference table; desk scale skips n = 1000 work."""
+def reproduce_table(table_id: str) -> list[CellResult]:
+    """Run every cell of a reference table at its published n."""
     if table_id not in REFERENCE_TABLES:
         raise ValueError(f"unknown table {table_id!r}; expected one of {TABLE_IDS}")
-    if scale not in ("desk", "full"):
-        raise ValueError(f"unknown scale {scale!r}")
     spec = REFERENCE_TABLES[table_id]
     if spec["kind"] == "timing":
-        dims = [n for n in spec["dims"] if scale == "full" or n < 1000]
-        return [run_timing_row(spec, n) for n in dims]
-    if scale == "desk" and spec["n"] >= 1000:
-        return []
+        return [run_timing_row(spec, n) for n in spec["dims"]]
     runner = run_residual_cell if spec["kind"] == "residual" else run_rom_cell
     cells = [(hw, M) for hw in spec["half_widths"] for M in spec["degrees"]]
 

@@ -145,7 +145,7 @@ def cmd_rom(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    results = bench.reproduce_table(args.table, scale=args.scale)
+    results = bench.reproduce_table(args.table)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{args.table}.csv"
@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="reproduce a published benchmark table")
     p_rep.add_argument("table", choices=bench.TABLE_IDS)
-    p_rep.add_argument("--scale", choices=("desk", "full"), default="desk")
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_val = sub.add_parser("validate", help="report stability assumption checks")

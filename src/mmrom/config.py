@@ -28,7 +28,7 @@ _SCHEMA = {
     "domain": {"lo", "hi"},
     "degree": None,
     "quadrature": None,
-    "solver": {"tol_F_l1", "max_iter", "backend", "rank_cutoff", "damping"},
+    "solver": {"tol_F_l1", "max_iter", "backend", "rank_cutoff"},
     "rom": {"gain", "c", "mu", "margin", "G"},
     "simulation": {
         "t_start", "t_end", "method", "abs_tol", "rel_tol",

@@ -83,25 +83,25 @@ def solve_pseudoinverse(A: np.ndarray, b: np.ndarray, rank_cutoff: float = 1e-10
 
 def solve_block_tridiagonal(A: BlockTridiagonal, b: np.ndarray) -> np.ndarray:
     """Block Thomas elimination; raises SingularMatrixError if a reduced
-    diagonal block is singular."""
+    diagonal block is singular.
+
+    Each reduced block D_i is factored once, for [W_i | g_i] =
+    D_i^{-1} [sup_i | r_i] with r_i the reduced right-hand side."""
     n, N = A.nblocks, A.block_size
     rhs = b.reshape(n, N)
-    W = [None] * n
-    g = [None] * n
-    denom = A.diag[0]
+    Wg = [None] * n
+    denom, r = A.diag[0], rhs[0]
     for i in range(n):
         if i > 0:
-            denom = A.diag[i] - A.sub[i - 1] @ W[i - 1]
+            prod = A.sub[i - 1] @ Wg[i - 1]           # sub_{i-1} [W | g]
+            denom, r = A.diag[i] - prod[:, :N], rhs[i] - prod[:, N]
+        aug = np.column_stack([A.sup[i], r]) if i < n - 1 else r[:, None]
         try:
-            if i < n - 1:
-                W[i] = np.linalg.solve(denom, A.sup[i])
-            g[i] = np.linalg.solve(
-                denom, rhs[i] if i == 0 else rhs[i] - A.sub[i - 1] @ g[i - 1]
-            )
+            Wg[i] = np.linalg.solve(denom, aug)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"singular reduced block at index {i}") from exc
     x = np.empty((n, N))
-    x[n - 1] = g[n - 1]
+    x[n - 1] = Wg[n - 1][:, 0]
     for i in range(n - 2, -1, -1):
-        x[i] = g[i] - W[i] @ x[i + 1]
+        x[i] = Wg[i][:, N] - Wg[i][:, :N] @ x[i + 1]
     return x.ravel()

@@ -22,30 +22,22 @@ class ResidualReport:
 
 
 def residual_at(problem: Problem, basis: Basis, c: np.ndarray, omega) -> np.ndarray:
-    """Invariance-equation residual grad(pi_i) . s - f_i at one point."""
+    """Invariance-equation residual grad(pi_i) . s - f_i at one point (d,) or
+    at points (..., d); returns (n,) or (..., n).
+
+    Raises ValueError if the dynamics are not finite at some point."""
     gen, sys = problem.generator, problem.system
     C = np.asarray(c, dtype=float).reshape(sys.n, basis.size)
     omega = np.asarray(omega, dtype=float)
-    pival = eval_basis(basis, omega) @ C.T
-    grad = eval_basis_gradient(basis, omega)          # (N, d)
-    sval = np.atleast_1d(gen.s(omega))
-    advect = C @ (grad @ sval)                        # (n,)
-    fval = np.asarray(sys.f(pival, np.atleast_1d(gen.l(omega))), dtype=float)
-    if not np.all(np.isfinite(fval)):
-        raise ValueError(f"non-finite dynamics at omega={omega}")
-    return advect - fval
-
-
-def _residual_at_nodes(problem: Problem, basis: Basis, C: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    gen = problem.generator
-    bvals = eval_basis(basis, nodes)                  # (K, N)
-    grads = eval_basis_gradient(basis, nodes)         # (K, N, d)
-    svals = gen.s(nodes)                              # (K, d)
-    pivals = bvals @ C.T                              # (K, n)
-    advect = np.zeros_like(pivals)
-    for j in range(gen.d):
-        advect += (grads[:, :, j] @ C.T) * svals[:, j:j + 1]
-    return advect - problem.system.f(pivals, gen.l(nodes))   # (K, n)
+    pts = omega.reshape(-1, omega.shape[-1])
+    grads = eval_basis_gradient(basis, pts)           # (K, N, d)
+    svals = gen.s(pts)                                # (K, d)
+    advect = sum((grads[:, :, j] @ C.T) * svals[:, j:j + 1] for j in range(basis.d))
+    fvals = np.asarray(sys.f(eval_basis(basis, pts) @ C.T, gen.l(pts)), dtype=float)
+    finite = np.isfinite(fvals).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite dynamics at omega={pts[~finite][0]}")
+    return (advect - fvals).reshape(omega.shape[:-1] + (sys.n,))
 
 
 def residual_norm(
@@ -67,7 +59,7 @@ def residual_norm(
         warnings.warn("residual subdomain extends beyond the solve domain", stacklevel=2)
     C = np.asarray(c, dtype=float).reshape(n, basis.size)
     rule = tensor_rule(W, q)
-    R = _residual_at_nodes(problem, basis, C, rule.nodes)
+    R = residual_at(problem, basis, C, rule.nodes)
     per_component = np.sqrt(rule.weights @ (R * R))
     block_norms = np.linalg.norm(C, axis=1)
     total = block_norms.sum()

@@ -47,12 +47,12 @@ def test_run_residual_cell_test1():
     assert result.value < 1e-10
 
 
-def test_reproduce_desk_scale_skips_large_problems():
-    assert reproduce_table("T3-res-n1000", scale="desk") == []
+def test_reproduce_runs_tables_at_published_n():
+    results = reproduce_table("T3-res-n1000")
+    assert len(results) == 9
+    assert all(r.n == 1000 and r.passed for r in results)
     with pytest.raises(ValueError):
         reproduce_table("T99")
-    with pytest.raises(ValueError):
-        reproduce_table("T1", scale="huge")
 
 
 def test_reproduce_records_failure_cause(monkeypatch):

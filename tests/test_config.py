@@ -35,6 +35,7 @@ def test_valid_config_passes():
     (lambda c: c.pop("domain"), "domain"),
     (lambda c: c.update({"degree": 0}), "degree"),
     (lambda c: c.update({"solver": {"tol": 1e-7}}), "tol"),
+    (lambda c: c.update({"solver": {"damping": 0.5}}), "damping"),
 ])
 def test_invalid_configs_rejected_with_field_name(mutate, fragment):
     cfg = base_config()

@@ -26,6 +26,7 @@ from mmrom.problems import (
     make_linear_oscillator,
     make_rl_ladder,
     make_rl_linear,
+    make_rl_vdp,
     make_test1,
     system_from_tables,
     test1_exact_coefficients as exact_test1_coefficients,
@@ -64,6 +65,13 @@ class TestBackends:
         x = solve_block_tridiagonal(A, b)
         assert np.allclose(x, np.linalg.solve(A.to_dense(), b), rtol=1e-10, atol=1e-12)
         assert np.allclose(A.matvec(x), b, rtol=1e-9, atol=1e-10)
+
+    def test_block_tridiagonal_single_block(self):
+        rng = np.random.default_rng(5)
+        A = BlockTridiagonal(diag=rng.normal(size=(1, 4, 4)) + 6 * np.eye(4),
+                             sub=np.empty((0, 4, 4)), sup=np.empty((0, 4, 4)))
+        b = rng.normal(size=4)
+        assert np.allclose(solve_block_tridiagonal(A, b), np.linalg.solve(A.diag[0], b))
 
     def test_newton_step_backend_equivalence(self):
         prob = make_rl_linear(4)
@@ -167,6 +175,19 @@ class TestSolveInvariance:
         assert not sol.converged
         assert sol.iterations == 1
         assert len(sol.residual_history) == 2
+
+    @pytest.mark.parametrize("value", [np.nan, 1e200])
+    def test_non_finite_initial_residual_stops_at_once(self, value):
+        # 1e200 overflows the ladder's cubic term, so |F|_1 is inf
+        prob = make_rl_vdp(2)
+        basis = generate_basis(2, 2)
+        ops = assemble_operators(prob, basis, BoxDomain.cube(1.0, d=2))
+        guess = np.full(2 * basis.size, value)
+        with np.errstate(all="ignore"):
+            sol = solve_invariance(prob, ops, SolverOptions(initial_guess=guess))
+        assert not np.isfinite(sol.residual_history[-1])
+        assert not sol.converged
+        assert sol.iterations == 0
 
 
 class TestSylvester:

@@ -39,6 +39,26 @@ def test_residual_at_hand_value():
     assert np.isclose(R[0], delta * s[0] + delta * w[0], rtol=1e-12)
 
 
+def test_residual_at_batch_matches_points():
+    prob = make_rl_linear(3)
+    basis = generate_basis(2, 3)
+    C = np.random.default_rng(3).normal(scale=0.3, size=(3, basis.size))
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(2, 5, 2))
+    R = residual_at(prob, basis, C, pts)
+    assert R.shape == (2, 5, 3)
+    for idx in np.ndindex(2, 5):
+        assert np.allclose(R[idx], residual_at(prob, basis, C, pts[idx]), rtol=1e-13, atol=1e-15)
+
+
+def test_non_finite_dynamics_rejected():
+    # the ladder's cubic term overflows at coefficients of 1e200
+    prob = make_rl_linear(2)
+    basis = generate_basis(2, 2)
+    c = np.full((2, basis.size), 1e200)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        residual_norm(prob, basis, c)
+
+
 def test_default_subdomain_is_0p7_box():
     prob = make_rl_linear(2)
     basis = generate_basis(2, 2)
