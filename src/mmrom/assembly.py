@@ -2,12 +2,11 @@
 
 The residual of the invariance equation, projected on the monomial basis,
 splits into a linear advection term A c_i and a nonlinear coupling term.
-The advection matrix of a polynomial generator is integrated in closed
-form; the nonlinear terms of every problem are integrated at the K nodes of
-one tensor-product Gauss rule.  With B the (K, N) basis values, W the
-weights and Pi = B C^T the expansion at the nodes,
+Both are integrated at the K nodes of one tensor-product Gauss rule.  With
+B the (K, N) basis values, W the weights and Pi = B C^T the expansion at
+the nodes,
 
-    F = C A^T - (W B)^T f(Pi, l),
+    A = sum_k (W B)^T (d_k B * s_k),    F = C A^T - (W B)^T f(Pi, l),
 
 and the Jacobian block of each structural nonzero (i, j) of df/dx is
 -(W B)^T diag(df_i/dx_j) B, plus A on the diagonal blocks.
@@ -22,7 +21,7 @@ import numpy as np
 from .basis import Basis, eval_basis, eval_basis_gradient
 from .linear import BlockTridiagonal, check_dense_size
 from .problems import Problem
-from .quadrature import BoxDomain, QuadratureRule, monomial_integral_tables, tensor_rule
+from .quadrature import BoxDomain, QuadratureRule, tensor_rule
 
 
 @dataclass
@@ -45,34 +44,15 @@ class GalerkinOperators:
 def default_quadrature_order(problem: Problem, M: int) -> int:
     """Points per dimension.  For polynomial data the rule integrates
     phi * f(pi^N, l) exactly: its degree is at most M + deg_f * max(M, deg_l),
-    and the Jacobian integrands are no higher.  Transcendental problems get a
-    fixed margin."""
+    and the Jacobian integrands are no higher.  It also integrates the
+    advection integrand phi_a grad phi_b . s exactly, of degree at most
+    2M - 1 + deg_s.  deg_l and deg_s are bounded by the generator's degree.
+    Transcendental problems get a fixed margin."""
     if problem.is_polynomial:
-        reach = problem.system.degree * max(M, problem.generator.l_poly.max_degree())
-        return max(2 * M + 1, 10, math.ceil((M + reach + 1) / 2))
+        deg_gen = problem.generator.degree
+        reach = problem.system.degree * max(M, deg_gen)
+        return max(2 * M + 1, 10, math.ceil((M + reach + 1) / 2), M + math.ceil(deg_gen / 2))
     return 32
-
-
-def _table_product(table: np.ndarray, sumexp: np.ndarray) -> np.ndarray:
-    out = np.ones(sumexp.shape[:-1])
-    for j in range(sumexp.shape[-1]):
-        out = out * table[sumexp[..., j], j]
-    return out
-
-
-def _exact_advection(s_poly, basis: Basis, domain: BoxDomain) -> np.ndarray:
-    """A[a, b] = int phi_a (grad phi_b . s) over the box, from monomial integrals."""
-    E = basis.exponents
-    table = monomial_integral_tables(domain, 2 * basis.M + s_poly.max_degree())
-    A = np.zeros((basis.size, basis.size))
-    for k in range(basis.d):
-        nu_k = E[:, k].astype(float)
-        dE = E.copy()
-        dE[:, k] = np.maximum(dE[:, k] - 1, 0)
-        for exps, coef in sorted(s_poly.tables[k].items()):
-            sumexp = E[:, None, :] + (dE + exps)[None, :, :]
-            A += coef * nu_k[None, :] * _table_product(table, sumexp)
-    return A
 
 
 def assemble_operators(
@@ -92,14 +72,11 @@ def assemble_operators(
     basis_products = (weighted_basis[:, :, None] * basis_values[:, None, :]).reshape(-1, N * N)
     l_values = np.asarray(gen.l(rule.nodes), dtype=float)
 
-    if gen.s_poly is not None:
-        A = _exact_advection(gen.s_poly, basis, domain)
-    else:
-        grads = eval_basis_gradient(basis, rule.nodes)
-        s_values = gen.s(rule.nodes)
-        A = np.zeros((N, N))
-        for k in range(basis.d):
-            A += weighted_basis.T @ (grads[:, :, k] * s_values[:, k:k + 1])
+    grads = eval_basis_gradient(basis, rule.nodes)
+    s_values = gen.s(rule.nodes)
+    A = np.zeros((N, N))
+    for k in range(basis.d):
+        A += weighted_basis.T @ (grads[:, :, k] * s_values[:, k:k + 1])
 
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(l_values))):
         raise ValueError("non-finite advection matrix or generator output on the domain")

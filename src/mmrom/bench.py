@@ -185,7 +185,7 @@ def solve_benchmark(problem: Problem, half_width: float, M: int) -> tuple[Soluti
     domain = BoxDomain.cube(half_width, d=problem.generator.d)
     basis = generate_basis(problem.generator.d, M)
     ops = assemble_operators(problem, basis, domain)
-    backend = "pseudoinverse" if problem.generator.s_poly is None else "auto"
+    backend = "auto" if problem.generator.is_polynomial else "pseudoinverse"
     start = time.perf_counter()
     solution = solve_invariance(problem, ops, SolverOptions(backend=backend))
     return solution, time.perf_counter() - start
@@ -202,6 +202,10 @@ class CellResult:
     converged: bool
     seconds: float
     error: str | None = None  # "Type: message" of the exception that ended the cell
+
+
+def _reference(spec: dict, half_width: float, M: int) -> float | None:
+    return spec["values"][spec["half_widths"].index(half_width)][spec["degrees"].index(M)]
 
 
 def _check_cell(value, reference, converged, criterion) -> bool:
@@ -222,7 +226,7 @@ def run_residual_cell(spec: dict, half_width: float, M: int) -> CellResult:
     if solution.converged:
         W = BoxDomain.cube(spec["W_half"], d=problem.generator.d)
         value = residual_norm(problem, solution.basis, solution.c, W=W).weighted_norm
-    ref = spec["values"][spec["half_widths"].index(half_width)][spec["degrees"].index(M)]
+    ref = _reference(spec, half_width, M)
     return CellResult(
         half_width=half_width, M=M, n=spec["n"], value=value, reference=ref,
         passed=_check_cell(value, ref, solution.converged, spec["criterion"]),
@@ -233,7 +237,7 @@ def run_residual_cell(spec: dict, half_width: float, M: int) -> CellResult:
 def run_rom_cell(spec: dict, half_width: float, M: int, c_gain: float = 10.0) -> CellResult:
     problem = make_benchmark_problem(spec["problem"], spec["n"])
     solution, seconds = solve_benchmark(problem, half_width, M)
-    ref = spec["values"][spec["half_widths"].index(half_width)][spec["degrees"].index(M)]
+    ref = _reference(spec, half_width, M)
     value = None
     if solution.converged:
         rom = build_rom(problem, solution, default_gain(problem, c=c_gain))
@@ -276,7 +280,7 @@ def reproduce_table(table_id: str) -> list[CellResult]:
         except Exception as exc:  # a failed cell is recorded with its cause; the grid goes on
             results.append(CellResult(
                 half_width=hw, M=M, n=spec["n"], value=None,
-                reference=spec["values"][spec["half_widths"].index(hw)][spec["degrees"].index(M)],
+                reference=_reference(spec, hw, M),
                 passed=False, converged=False, seconds=float("nan"),
                 error=f"{type(exc).__name__}: {exc}",
             ))

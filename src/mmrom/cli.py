@@ -43,7 +43,7 @@ def _fingerprint(cfg) -> str:
     return problem_fingerprint(prob["name"], prob.get("params", {}) or {})
 
 
-def _solve_from_config(cfg, args):
+def _solve_from_config(cfg):
     problem = build_problem(cfg)
     domain = build_domain(cfg)
     basis = generate_basis(problem.generator.d, cfg["degree"])
@@ -56,7 +56,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    problem, domain, basis, solution = _solve_from_config(cfg, args)
+    problem, domain, basis, solution = _solve_from_config(cfg)
     coeff_path = out / "coefficients.txt"
     write_coefficients(
         coeff_path, solution.c, n=problem.system.n, d=basis.d, M=basis.M,
@@ -81,7 +81,12 @@ def cmd_solve(args) -> int:
 
 def cmd_residual(args) -> int:
     cfg = load_config(args.config)
-    data = read_coefficients(args.coefficients)
+    try:
+        data = read_coefficients(args.coefficients)
+    except KeyError as exc:
+        raise ConfigError(f"{args.coefficients}: missing header field {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{args.coefficients}: {exc}") from exc
     if data["fingerprint"] and data["fingerprint"] != _fingerprint(cfg):
         print("coefficient file fingerprint does not match the configured problem",
               file=sys.stderr)
@@ -111,7 +116,7 @@ def cmd_residual(args) -> int:
 
 def cmd_rom(args) -> int:
     cfg = load_config(args.config)
-    problem, domain, basis, solution = _solve_from_config(cfg, args)
+    problem, domain, basis, solution = _solve_from_config(cfg)
     if not solution.converged:
         _say(args, "invariance solve did not converge; cannot build the reduced model")
         return EXIT_NOT_CONVERGED

@@ -31,10 +31,9 @@ _SCHEMA = {
     "solver": {"tol_F_l1", "max_iter", "backend", "rank_cutoff"},
     "rom": {"gain", "c", "mu", "margin", "G"},
     "simulation": {
-        "t_start", "t_end", "method", "abs_tol", "rel_tol",
-        "fixed_step", "steady_window_fraction", "omega0", "r0", "x0",
+        "t_start", "t_end", "abs_tol", "rel_tol",
+        "steady_window_fraction", "omega0", "r0", "x0",
     },
-    "output_dir": None,
 }
 
 _BUILTIN_PARAMS = {

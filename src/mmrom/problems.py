@@ -2,15 +2,15 @@
 
 A problem couples an autonomous signal generator (s, l) with a full-order
 system (f, h) through u = l(omega).  Polynomial maps can be given as
-coefficient tables (exponent multi-index -> coefficient, per component),
-which enables exact integration during operator assembly; transcendental
-dynamics are provided through the built-in constructors.
+coefficient tables (exponent multi-index -> coefficient, per component);
+transcendental dynamics are provided through the built-in constructors.
 
 s, l, f and h accept batched inputs (..., d), (..., d), (..., n) with
 (..., m), and (..., n).  A system also states the structural nonzeros of
 df/dx (``jacobian_pattern``), with ``f_jacobian_x`` returning the values on
 them, and the polynomial degree of f in (x, u) (``degree``, None for
-non-polynomial f).
+non-polynomial f).  A generator states the largest polynomial degree of s
+and l the same way.
 """
 from __future__ import annotations
 
@@ -86,7 +86,9 @@ class PolyMap:
 
 @dataclass
 class SignalGenerator:
-    """Autonomous exosystem omega' = s(omega), v = l(omega)."""
+    """Autonomous exosystem omega' = s(omega), v = l(omega), both batched
+    over (..., d).  ``degree`` is the largest polynomial degree of s and l,
+    or None when either is not polynomial."""
 
     d: int
     m: int
@@ -94,12 +96,11 @@ class SignalGenerator:
     l: callable
     s_jacobian: callable
     l_jacobian: callable
-    s_poly: PolyMap | None = None
-    l_poly: PolyMap | None = None
+    degree: int | None = None
 
     @property
     def is_polynomial(self) -> bool:
-        return self.s_poly is not None and self.l_poly is not None
+        return self.degree is not None
 
 
 @dataclass
@@ -148,15 +149,15 @@ class Problem:
 
 def generator_from_tables(d: int, m: int, s_tables, l_tables) -> SignalGenerator:
     """Build a polynomial signal generator from coefficient tables."""
-    s_poly = PolyMap(s_tables, d)
-    l_poly = PolyMap(l_tables, d)
-    if s_poly.nout != d or l_poly.nout != m:
+    s_map = PolyMap(s_tables, d)
+    l_map = PolyMap(l_tables, d)
+    if s_map.nout != d or l_map.nout != m:
         raise ValueError("table counts inconsistent with d, m")
     return SignalGenerator(
         d=d, m=m,
-        s=s_poly, l=l_poly,
-        s_jacobian=s_poly.jacobian, l_jacobian=l_poly.jacobian,
-        s_poly=s_poly, l_poly=l_poly,
+        s=s_map, l=l_map,
+        s_jacobian=s_map.jacobian, l_jacobian=l_map.jacobian,
+        degree=max(s_map.max_degree(), l_map.max_degree()),
     )
 
 

@@ -80,17 +80,6 @@ def tensor_rule(domain: BoxDomain, q: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, points_per_dim=q)
 
 
-def integrate(rule: QuadratureRule, g) -> float:
-    """Apply the rule to a scalar integrand g(point)."""
-    total = 0.0
-    for node, w in zip(rule.nodes, rule.weights):
-        val = g(node)
-        if not np.isfinite(val):
-            raise ValueError(f"integrand returned non-finite value {val} at node {node}")
-        total += w * val
-    return total
-
-
 def monomial_integral_1d(lo: float, hi: float, e: int) -> float:
     return (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
 

@@ -1,4 +1,4 @@
-"""Time integration of the interconnected systems and steady-state metrics."""
+"""RK45 time integration of the interconnected systems and steady-state metrics."""
 from __future__ import annotations
 
 import warnings
@@ -13,11 +13,11 @@ from .rom import ReducedOrderModel
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Settings of the RK45 integration and of the steady-state window."""
+
     t_span: tuple = (0.0, 50.0)
-    method: str = "adaptive_rk45"
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    fixed_step: float = 1e-3
     steady_window_fraction: float = 0.4
 
     def __post_init__(self):
@@ -25,8 +25,6 @@ class SimConfig:
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.steady_window_fraction < 1.0:
             raise ValueError("steady_window_fraction must lie in (0, 1)")
-        if self.method not in ("adaptive_rk45", "fixed_rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -43,24 +41,8 @@ class Trajectory:
 
 
 def _integrate(rhs, z0: np.ndarray, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    t0, t1 = config.t_span
-    if config.method == "fixed_rk4":
-        nsteps = max(1, int(np.ceil((t1 - t0) / config.fixed_step)))
-        times = np.linspace(t0, t1, nsteps + 1)
-        states = np.empty((nsteps + 1, z0.shape[0]))
-        states[0] = z0
-        z = z0.astype(float).copy()
-        for i in range(nsteps):
-            t, dt = times[i], times[i + 1] - times[i]
-            k1 = rhs(t, z)
-            k2 = rhs(t + dt / 2, z + dt / 2 * k1)
-            k3 = rhs(t + dt / 2, z + dt / 2 * k2)
-            k4 = rhs(t + dt, z + dt * k3)
-            z = z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            states[i + 1] = z
-        return times, states
     sol = solve_ivp(
-        rhs, (t0, t1), z0, method="RK45",
+        rhs, config.t_span, z0, method="RK45",
         rtol=config.rel_tol, atol=config.abs_tol,
     )
     if not sol.success:

@@ -14,7 +14,6 @@ from mmrom.basis import generate_basis
 from mmrom.linear import BlockTridiagonal
 from mmrom.problems import (
     Problem,
-    SignalGenerator,
     generator_from_tables,
     make_cart_pendulum,
     make_rl_linear,
@@ -124,21 +123,48 @@ def test_gamma_hand_values():
     assert np.allclose(F0[1], 0.0, atol=1e-14)
 
 
+def _exact_advection(generator, basis, domain):
+    """A[a, b] = int phi_a (grad phi_b . s) over the box, in closed form from
+    the coefficient tables of a polynomial generator."""
+    E = basis.exponents
+    A = np.zeros((basis.size, basis.size))
+    for k in range(basis.d):
+        dE = E.copy()
+        dE[:, k] = np.maximum(dE[:, k] - 1, 0)
+        for exps, coef in generator.s.tables[k].items():
+            sums = E[:, None, :] + (dE + np.array(exps))[None, :, :]
+            A += coef * E[None, :, k] * _exact_integrals(domain, sums)
+    return A
+
+
 def test_quadrature_assembly_agrees_with_exact():
-    # the closed-form advection matrix of a polynomial generator equals the
-    # quadrature one of the same generator given as a plain callable
-    prob = make_rl_linear(2)
-    gen = prob.generator
-    callable_gen = SignalGenerator(d=2, m=1, s=lambda w: gen.s(w), l=gen.l,
-                                   s_jacobian=gen.s_jacobian, l_jacobian=gen.l_jacobian)
+    # the advection matrix at the default rule equals its closed form
     basis = generate_basis(2, 3)
     dom = BoxDomain.cube(1.5, d=2)
-    exact = assemble_operators(prob, basis, dom)
-    quad = assemble_operators(Problem(callable_gen, prob.system, prob.params), basis, dom, q=24)
-    assert np.allclose(exact.A, quad.A, rtol=1e-12, atol=1e-12)
-    c = np.random.default_rng(3).normal(scale=0.3, size=2 * basis.size)
-    assert np.allclose(residual_F(prob, exact, c), residual_F(prob, quad, c),
-                       rtol=1e-12, atol=1e-12)
+    for prob in (make_rl_linear(2), make_rl_vdp(2)):
+        ops = assemble_operators(prob, basis, dom)
+        exact = _exact_advection(prob.generator, basis, dom)
+        assert np.allclose(ops.A, exact, rtol=1e-12, atol=1e-12)
+
+
+def test_default_quadrature_exact_for_high_degree_generator():
+    # s_2 = -2 w1 + 0.5 w1^17: phi_a grad phi_b . s reaches degree 2M - 1 + 17,
+    # beyond what the dynamics alone ask of the rule
+    gen = generator_from_tables(
+        d=2, m=1,
+        s_tables=[{(0, 1): 1.0}, {(1, 0): -2.0, (17, 0): 0.5}],
+        l_tables=[{(1, 0): 1.0}],
+    )
+    sys = system_from_tables(n=1, m=1, p=1,
+                             f_tables=[{(1, 0): -1.0, (0, 1): 1.0}],
+                             h_tables=[{(1,): 1.0}])
+    prob = Problem(generator=gen, system=sys, params={})
+    basis = generate_basis(2, 2)
+    dom = BoxDomain(lo=[-1.0, -0.5], hi=[1.5, 1.0])
+    assert default_quadrature_order(prob, 2) == 11
+    A = assemble_operators(prob, basis, dom).A
+    exact = _exact_advection(gen, basis, dom)
+    assert np.linalg.norm(A - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_triple_tensor_hand_values():

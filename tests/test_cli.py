@@ -64,6 +64,23 @@ def test_residual_fingerprint_mismatch(tmp_path, ladder_config):
     assert code == EXIT_CONFIG_ERROR
 
 
+def test_residual_malformed_coefficients_exit_code(tmp_path, ladder_config, capsys):
+    _, cfg_path = ladder_config
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--quiet", "solve", "--config", cfg_path]) == EXIT_OK
+    coeff_path = out / "coefficients.txt"
+    lines = coeff_path.read_text().splitlines()
+    coeff_path.write_text("\n".join(lines[:-3]) + "\n")
+    code = main([
+        "--out", str(out), "--quiet", "residual",
+        "--config", cfg_path, "--coefficients", str(coeff_path),
+    ])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "expected 10" in err[0]
+
+
 def test_solve_not_converged_exit_code(tmp_path, ladder_config):
     cfg, _ = ladder_config
     cfg["solver"] = {"max_iter": 1}

@@ -36,6 +36,8 @@ def test_valid_config_passes():
     (lambda c: c.update({"degree": 0}), "degree"),
     (lambda c: c.update({"solver": {"tol": 1e-7}}), "tol"),
     (lambda c: c.update({"solver": {"damping": 0.5}}), "damping"),
+    (lambda c: c.update({"output_dir": "runs"}), "output_dir"),
+    (lambda c: c.update({"simulation": {"method": "fixed_rk4"}}), "method"),
 ])
 def test_invalid_configs_rejected_with_field_name(mutate, fragment):
     cfg = base_config()

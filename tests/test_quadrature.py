@@ -5,7 +5,6 @@ import pytest
 from mmrom.quadrature import (
     BoxDomain,
     gauss_legendre_1d,
-    integrate,
     monomial_integral_exact,
     monomial_integral_tables,
     tensor_rule,
@@ -66,20 +65,6 @@ def test_tensor_rule_monomial_exactness():
         exps = rng.integers(0, 2 * q, size=2)
         approx = rule.weights @ (rule.nodes[:, 0] ** exps[0] * rule.nodes[:, 1] ** exps[1])
         assert np.isclose(approx, monomial_integral_exact(dom, exps), rtol=1e-12, atol=1e-13)
-
-
-def test_integrate_scalar_callable():
-    dom = BoxDomain.cube(1.0, d=2)
-    rule = tensor_rule(dom, 8)
-    val = integrate(rule, lambda p: p[0] ** 2 + p[1] ** 4)
-    assert np.isclose(val, 4.0 / 3.0 + 4.0 / 5.0, rtol=1e-13)
-
-
-def test_integrate_rejects_nonfinite():
-    dom = BoxDomain.cube(1.0, d=1)
-    rule = tensor_rule(dom, 3)
-    with pytest.raises(ValueError):
-        integrate(rule, lambda p: np.inf)
 
 
 def test_monomial_integral_exact_values():

@@ -22,12 +22,10 @@ class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig()
         assert cfg.t_span == (0.0, 50.0)
-        assert cfg.method == "adaptive_rk45"
 
     @pytest.mark.parametrize("kwargs", [
         {"abs_tol": 0.0},
         {"steady_window_fraction": 1.5},
-        {"method": "euler"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -39,22 +37,6 @@ class TestIntegrators:
         cfg = SimConfig(t_span=(0.0, 1.0))
         times, states = _integrate(lambda t, z: -z, np.array([1.0]), cfg)
         assert abs(states[-1, 0] - np.exp(-1.0)) < 1e-8
-
-    def test_exponential_decay_fixed_rk4(self):
-        cfg = SimConfig(t_span=(0.0, 1.0), method="fixed_rk4", fixed_step=1e-3)
-        times, states = _integrate(lambda t, z: -z, np.array([1.0]), cfg)
-        assert abs(states[-1, 0] - np.exp(-1.0)) < 1e-10
-
-    def test_rk4_fourth_order_convergence(self):
-        # halving the step should shrink the error by roughly 2^4
-        def err(h):
-            cfg = SimConfig(t_span=(0.0, 2.0), method="fixed_rk4", fixed_step=h)
-            _, states = _integrate(lambda t, z: np.array([-2.0 * z[0]]),
-                                   np.array([1.0]), cfg)
-            return abs(states[-1, 0] - np.exp(-4.0))
-
-        ratio = err(0.1) / err(0.05)
-        assert 8.0 <= ratio <= 32.0
 
     def test_energy_conservation_harmonic_oscillator(self):
         cfg = SimConfig(t_span=(0.0, 20.0))
