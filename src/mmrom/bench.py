@@ -10,12 +10,12 @@ import numpy as np
 
 from .assembly import assemble_operators
 from .basis import generate_basis
-from .newton import SolverOptions, Solution, solve_invariance
+from .newton import Solution, solve_invariance
 from .problems import Problem, make_cart_pendulum, make_rl_linear, make_rl_vdp, make_test1
 from .quadrature import BoxDomain
 from .residuals import residual_norm
 from .rom import default_gain, build_rom
-from .simulate import SimConfig, simulate_fom, simulate_rom, steady_state_rms
+from .simulate import OMEGA0, R0, SimConfig, simulate_fom, simulate_rom, steady_state_rms
 
 HALF_WIDTHS = (1.0, 2.0, 3.0)
 DEGREES = (2, 4, 6)
@@ -185,9 +185,8 @@ def solve_benchmark(problem: Problem, half_width: float, M: int) -> tuple[Soluti
     domain = BoxDomain.cube(half_width, d=problem.generator.d)
     basis = generate_basis(problem.generator.d, M)
     ops = assemble_operators(problem, basis, domain)
-    backend = "auto" if problem.generator.is_polynomial else "pseudoinverse"
     start = time.perf_counter()
-    solution = solve_invariance(problem, ops, SolverOptions(backend=backend))
+    solution = solve_invariance(problem, ops)
     return solution, time.perf_counter() - start
 
 
@@ -234,17 +233,16 @@ def run_residual_cell(spec: dict, half_width: float, M: int) -> CellResult:
     )
 
 
-def run_rom_cell(spec: dict, half_width: float, M: int, c_gain: float = 10.0) -> CellResult:
+def run_rom_cell(spec: dict, half_width: float, M: int) -> CellResult:
     problem = make_benchmark_problem(spec["problem"], spec["n"])
     solution, seconds = solve_benchmark(problem, half_width, M)
     ref = _reference(spec, half_width, M)
     value = None
     if solution.converged:
-        rom = build_rom(problem, solution, default_gain(problem, c=c_gain))
-        sim = SimConfig(t_span=(0.0, 50.0))
-        fom = simulate_fom(problem, omega0=[0.1, 0.2],
-                           x0=np.zeros(problem.system.n), config=sim)
-        red = simulate_rom(rom, problem.generator, omega0=[0.1, 0.2], r0=[0.0, 1.0], config=sim)
+        rom = build_rom(problem, solution, default_gain(problem))
+        sim = SimConfig()
+        fom = simulate_fom(problem, omega0=OMEGA0, x0=np.zeros(problem.system.n), config=sim)
+        red = simulate_rom(rom, problem.generator, omega0=OMEGA0, r0=R0, config=sim)
         value = steady_state_rms(fom, red, sim)["relative_rms"]
     return CellResult(
         half_width=half_width, M=M, n=spec["n"], value=value, reference=ref,

@@ -47,7 +47,7 @@ def _solve_from_config(cfg):
     problem = build_problem(cfg)
     domain = build_domain(cfg)
     basis = generate_basis(problem.generator.d, cfg["degree"])
-    ops = assemble_operators(problem, basis, domain, q=cfg.get("quadrature"))
+    ops = assemble_operators(problem, basis, domain)
     solution = solve_invariance(problem, ops, build_solver_options(cfg))
     return problem, domain, basis, solution
 
@@ -88,14 +88,11 @@ def cmd_residual(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"{args.coefficients}: {exc}") from exc
     if data["fingerprint"] and data["fingerprint"] != _fingerprint(cfg):
-        print("coefficient file fingerprint does not match the configured problem",
-              file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError("coefficient file fingerprint does not match the configured problem")
     problem = build_problem(cfg)
     basis = generate_basis(data["d"], data["M"])
     W = BoxDomain.cube(args.subdomain, d=data["d"])
-    report = residual_norm(problem, basis, data["c"], W=W, q=args.quadrature,
-                           solve_domain=data["domain"])
+    report = residual_norm(problem, basis, data["c"], W=W, solve_domain=data["domain"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "residual.csv"
@@ -207,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--coefficients", required=True)
     p_res.add_argument("--subdomain", type=float, default=0.7,
                        help="half-width of the evaluation box W")
-    p_res.add_argument("--quadrature", type=int, default=20)
     p_res.set_defaults(func=cmd_residual)
 
     p_rom = sub.add_parser("rom", help="build and simulate the reduced-order model")
@@ -228,10 +224,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -1,6 +1,8 @@
 """Run configuration: YAML schema, validation, and object construction."""
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import yaml
 
@@ -16,7 +18,7 @@ from .problems import (
 )
 from .quadrature import BoxDomain
 from .rom import GainSpec, default_gain
-from .simulate import SimConfig
+from .simulate import OMEGA0, R0, SimConfig
 
 
 class ConfigError(ValueError):
@@ -27,21 +29,29 @@ _SCHEMA = {
     "problem": {"name", "params", "generic"},
     "domain": {"lo", "hi"},
     "degree": None,
-    "quadrature": None,
-    "solver": {"tol_F_l1", "max_iter", "backend", "rank_cutoff"},
-    "rom": {"gain", "c", "mu", "margin", "G"},
+    "solver": {"tol_F_l1", "max_iter"},
+    "rom": {"gain", "c", "G"},
     "simulation": {
         "t_start", "t_end", "abs_tol", "rel_tol",
         "steady_window_fraction", "omega0", "r0", "x0",
     },
 }
 
-_BUILTIN_PARAMS = {
-    "test1": {"a"},
-    "cart_pendulum": {"a1", "a2", "k"},
-    "rl_linear": {"n", "a", "kappa"},
-    "rl_vdp": {"n", "mu", "kappa"},
+_BUILTINS = {  # name -> (constructor, accepted params)
+    "test1": (make_test1, {"a"}),
+    "cart_pendulum": (make_cart_pendulum, {"a1", "a2", "k"}),
+    "rl_linear": (make_rl_linear, {"n", "a", "kappa"}),
+    "rl_vdp": (make_rl_vdp, {"n", "mu", "kappa"}),
 }
+
+
+@contextmanager
+def _section(name: str):
+    """Turn a ValueError or TypeError from building config[name] into a ConfigError."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _check_keys(mapping: dict, allowed, where: str) -> None:
@@ -68,12 +78,12 @@ def validate_config(cfg: dict) -> dict:
         if "generic" not in prob:
             raise ConfigError("problem.generic: required for generic problems")
         _check_keys(prob["generic"], {"d", "n", "m", "p", "s", "l", "f", "h"}, "problem.generic")
-    elif name in _BUILTIN_PARAMS:
-        _check_keys(prob.get("params", {}), _BUILTIN_PARAMS[name], f"problem.params ({name})")
+    elif name in _BUILTINS:
+        _check_keys(prob.get("params", {}), _BUILTINS[name][1], f"problem.params ({name})")
     else:
         raise ConfigError(
             f"problem.name: unknown builtin {name!r}; expected one of "
-            f"{sorted(_BUILTIN_PARAMS) + ['generic']}"
+            f"{sorted(_BUILTINS) + ['generic']}"
         )
     if not isinstance(cfg["degree"], int) or cfg["degree"] < 1:
         raise ConfigError("degree: must be a positive integer")
@@ -82,7 +92,10 @@ def validate_config(cfg: dict) -> dict:
 
 def load_config(path) -> dict:
     with open(path) as fh:
-        cfg = yaml.safe_load(fh)
+        try:
+            cfg = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
     return validate_config(cfg)
 
 
@@ -102,62 +115,62 @@ def build_problem(cfg: dict) -> Problem:
     prob = cfg["problem"]
     name = prob["name"]
     params = prob.get("params", {}) or {}
-    if name == "test1":
-        return make_test1(**params)
-    if name == "cart_pendulum":
-        return make_cart_pendulum(**params)
-    if name == "rl_linear":
-        return make_rl_linear(**params)
-    if name == "rl_vdp":
-        return make_rl_vdp(**params)
-    g = prob["generic"]
-    gen = generator_from_tables(
-        d=int(g["d"]), m=int(g["m"]),
-        s_tables=_tables_from_config(g["s"]),
-        l_tables=_tables_from_config(g["l"]),
-    )
-    sys = system_from_tables(
-        n=int(g["n"]), m=int(g["m"]), p=int(g["p"]),
-        f_tables=_tables_from_config(g["f"]),
-        h_tables=_tables_from_config(g["h"]),
-    )
-    return Problem(generator=gen, system=sys, params={})
+    with _section("problem"):
+        if name in _BUILTINS:
+            return _BUILTINS[name][0](**params)
+        g = prob["generic"]
+        gen = generator_from_tables(
+            d=int(g["d"]), m=int(g["m"]),
+            s_tables=_tables_from_config(g["s"]),
+            l_tables=_tables_from_config(g["l"]),
+        )
+        sys = system_from_tables(
+            n=int(g["n"]), m=int(g["m"]), p=int(g["p"]),
+            f_tables=_tables_from_config(g["f"]),
+            h_tables=_tables_from_config(g["h"]),
+        )
+        return Problem(generator=gen, system=sys, params={})
 
 
 def build_domain(cfg: dict) -> BoxDomain:
     dom = cfg["domain"]
-    return BoxDomain(lo=np.asarray(dom["lo"], dtype=float),
-                     hi=np.asarray(dom["hi"], dtype=float))
+    with _section("domain"):
+        return BoxDomain(lo=np.asarray(dom["lo"], dtype=float),
+                         hi=np.asarray(dom["hi"], dtype=float))
 
 
 def build_solver_options(cfg: dict) -> SolverOptions:
     raw = cfg.get("solver", {}) or {}
-    return SolverOptions(**raw)
+    with _section("solver"):
+        return SolverOptions(**raw)
 
 
 def build_sim_config(cfg: dict):
     raw = dict(cfg.get("simulation", {}) or {})
-    omega0 = np.asarray(raw.pop("omega0", [0.1, 0.2]), dtype=float)
-    r0 = np.asarray(raw.pop("r0", [0.0, 1.0]), dtype=float)
-    x0 = raw.pop("x0", None)
-    t_span = (float(raw.pop("t_start", 0.0)), float(raw.pop("t_end", 50.0)))
-    sim = SimConfig(t_span=t_span, **raw)
-    return sim, omega0, r0, x0
+    t_start, t_end = SimConfig.t_span
+    with _section("simulation"):
+        omega0 = np.asarray(raw.pop("omega0", OMEGA0), dtype=float)
+        r0 = np.asarray(raw.pop("r0", R0), dtype=float)
+        x0 = raw.pop("x0", None)
+        t_span = (float(raw.pop("t_start", t_start)), float(raw.pop("t_end", t_end)))
+        return SimConfig(t_span=t_span, **raw), omega0, r0, x0
 
 
 def build_gain(cfg: dict, problem: Problem) -> GainSpec:
-    raw = dict(cfg.get("rom", {}) or {})
+    raw = cfg.get("rom", {}) or {}
     kind = raw.get("gain", "auto")
-    c = float(raw.get("c", 10.0))
-    if kind == "auto":
-        return default_gain(problem, c=c, target_margin=float(raw.get("margin", 0.5)))
-    if kind == "constant":
-        if "G" not in raw:
-            raise ConfigError("rom.G: required for constant gain")
-        return GainSpec(kind="constant", G=np.asarray(raw["G"], dtype=float))
-    if kind == "chain_linear":
-        return GainSpec(kind="chain_linear", c=c)
-    if kind == "chain_vdp":
-        return GainSpec(kind="chain_vdp", c=c,
-                        mu=float(raw.get("mu", problem.params.get("mu", 0.25))))
+    if kind == "constant" and "G" not in raw:
+        raise ConfigError("rom.G: required for constant gain")
+    if kind == "chain_vdp" and "mu" not in problem.params:
+        raise ConfigError("rom.gain: chain_vdp needs a problem with parameter mu")
+    with _section("rom"):
+        c = float(raw.get("c", 10.0))
+        if kind == "auto":
+            return default_gain(problem, c=c)
+        if kind == "constant":
+            return GainSpec(kind="constant", G=np.asarray(raw["G"], dtype=float))
+        if kind == "chain_linear":
+            return GainSpec(kind="chain_linear", c=c)
+        if kind == "chain_vdp":
+            return GainSpec(kind="chain_vdp", c=c, mu=problem.params["mu"])
     raise ConfigError(f"rom.gain: unknown kind {kind!r}")

@@ -10,6 +10,9 @@ import scipy.linalg
 # solves and pseudoinverses cost minutes and gigabytes, so they are refused.
 MAX_DENSE_BYTES = 2 ** 30
 
+PIVOT_RTOL = 1e-12
+RANK_CUTOFF = 1e-10
+
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a direct factorization detects (near-)singularity."""
@@ -64,21 +67,21 @@ class BlockTridiagonal:
         return out.ravel()
 
 
-def solve_dense_lu(A: np.ndarray, b: np.ndarray, pivot_rtol: float = 1e-12) -> np.ndarray:
-    """LU solve that raises SingularMatrixError on tiny pivots."""
+def solve_dense_lu(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """LU solve; raises SingularMatrixError if a pivot is below PIVOT_RTOL * max pivot."""
     lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     pivots = np.abs(np.diag(lu))
-    if pivots.min() < pivot_rtol * pivots.max():
+    if pivots.min() < PIVOT_RTOL * pivots.max():
         raise SingularMatrixError(
-            f"LU pivot ratio {pivots.min() / pivots.max():.3e} below {pivot_rtol:.1e}"
+            f"LU pivot ratio {pivots.min() / pivots.max():.3e} below {PIVOT_RTOL:.1e}"
         )
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
-def solve_pseudoinverse(A: np.ndarray, b: np.ndarray, rank_cutoff: float = 1e-10) -> np.ndarray:
+def solve_pseudoinverse(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solve, truncating singular values below
-    rank_cutoff * sigma_max."""
-    return np.linalg.pinv(A, rcond=rank_cutoff) @ b
+    RANK_CUTOFF * sigma_max."""
+    return np.linalg.pinv(A, rcond=RANK_CUTOFF) @ b
 
 
 def solve_block_tridiagonal(A: BlockTridiagonal, b: np.ndarray) -> np.ndarray:

@@ -15,17 +15,11 @@ from .linear import (
 )
 from .problems import Problem
 
-BACKENDS = ("auto", "dense_lu", "pseudoinverse", "block_tridiagonal")
-
-PIVOT_RTOL = 1e-12
-
 
 @dataclass
 class SolverOptions:
     tol_F_l1: float = 1e-7
     max_iter: int = 300
-    backend: str = "auto"
-    rank_cutoff: float = 1e-10
     initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
@@ -33,10 +27,6 @@ class SolverOptions:
             raise ValueError("tol_F_l1 must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.rank_cutoff < 1.0:
-            raise ValueError("rank_cutoff must lie in (0, 1)")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}, expected one of {BACKENDS}")
 
 
 @dataclass
@@ -47,7 +37,7 @@ class Solution:
     iterations: int
     residual_history: list = field(repr=False)
     converged: bool
-    backend_used: str
+    backend_used: str | None  # solver of the last step; None when no step was taken
     basis: object = None
     domain: object = None
 
@@ -55,17 +45,17 @@ class Solution:
         return self.c.reshape(n, -1)
 
 
-def newton_step(JF, F: np.ndarray, backend: str, rank_cutoff: float = 1e-10) -> np.ndarray:
-    """Solve JF * delta = F with the requested backend."""
+def newton_step(JF, F: np.ndarray, backend: str) -> np.ndarray:
+    """Solve JF * delta = F with the named solver: block_tridiagonal, dense_lu or pseudoinverse."""
     if backend == "block_tridiagonal":
         if isinstance(JF, BlockTridiagonal):
             return solve_block_tridiagonal(JF, F)
         raise TypeError("block_tridiagonal backend requires a BlockTridiagonal Jacobian")
     A = JF.to_dense() if isinstance(JF, BlockTridiagonal) else JF
     if backend == "dense_lu":
-        return solve_dense_lu(A, F, pivot_rtol=PIVOT_RTOL)
+        return solve_dense_lu(A, F)
     if backend == "pseudoinverse":
-        return solve_pseudoinverse(A, F, rank_cutoff=rank_cutoff)
+        return solve_pseudoinverse(A, F)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -75,9 +65,9 @@ def solve_invariance(
     """Plain Newton iteration on F(c) = 0 from the configured initial guess.
 
     It stops when |F|_1 <= tol_F_l1, when |F|_1 is not finite, or after
-    max_iter steps. The 'auto' backend follows the Jacobian's type:
-    block_tridiagonal for a BlockTridiagonal, dense_lu for a dense matrix;
-    a singular factorization switches it to the pseudoinverse for good."""
+    max_iter steps. Each step is solved by block Thomas elimination for a
+    BlockTridiagonal Jacobian and by dense LU otherwise; after a singular
+    factorization every later step uses the pseudoinverse."""
     opts = options or SolverOptions()
     n, N = problem.system.n, ops.size
     if opts.initial_guess is not None:
@@ -87,20 +77,20 @@ def solve_invariance(
     else:
         c = np.zeros(n * N)
 
-    backend = opts.backend
+    backend = None
     F = residual_F(problem, ops, c)
     history = [float(np.linalg.norm(F, 1))]
 
     while (np.isfinite(history[-1]) and history[-1] > opts.tol_F_l1
            and len(history) <= opts.max_iter):
         JF = jacobian_JF(problem, ops, c)
-        if backend == "auto":
+        if backend is None:
             backend = "block_tridiagonal" if isinstance(JF, BlockTridiagonal) else "dense_lu"
         try:
-            delta = newton_step(JF, F, backend, opts.rank_cutoff)
+            delta = newton_step(JF, F, backend)
         except SingularMatrixError:
             backend = "pseudoinverse"
-            delta = newton_step(JF, F, backend, opts.rank_cutoff)
+            delta = newton_step(JF, F, backend)
         del JF  # release it before the next iteration builds another
         c = c - delta
         F = residual_F(problem, ops, c)

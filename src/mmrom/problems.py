@@ -98,10 +98,6 @@ class SignalGenerator:
     l_jacobian: callable
     degree: int | None = None
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.degree is not None
-
 
 @dataclass
 class FullOrderSystem:
@@ -124,10 +120,6 @@ class FullOrderSystem:
     jacobian_pattern: tuple
     degree: int | None = None
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.degree is not None
-
 
 @dataclass
 class Problem:
@@ -144,7 +136,7 @@ class Problem:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.generator.is_polynomial and self.system.is_polynomial
+        return self.generator.degree is not None and self.system.degree is not None
 
 
 def generator_from_tables(d: int, m: int, s_tables, l_tables) -> SignalGenerator:

@@ -122,7 +122,7 @@ def verify_rom_stability(rom: ReducedOrderModel, problem: Problem, step: float =
     }
 
 
-def default_gain(problem: Problem, c: float = 10.0, target_margin: float = 0.5) -> GainSpec:
+def default_gain(problem: Problem, c: float = 10.0) -> GainSpec:
     """Benchmark-appropriate gain: the hand-crafted kind a ladder problem
     records in params["gain"], a pole-relocated constant matrix otherwise."""
     kind = problem.params.get("gain")
@@ -131,4 +131,4 @@ def default_gain(problem: Problem, c: float = 10.0, target_margin: float = 0.5) 
     if kind == "chain_linear":
         return GainSpec(kind="chain_linear", c=c)
     S, L, _, _ = linearize(problem)
-    return GainSpec(kind="constant", G=stabilizing_gain(S, L, target_margin))
+    return GainSpec(kind="constant", G=stabilizing_gain(S, L))

@@ -10,6 +10,10 @@ from scipy.integrate import solve_ivp
 from .problems import Problem
 from .rom import ReducedOrderModel
 
+# Initial generator and reduced states of the ROM experiment, for d = 2.
+OMEGA0 = (0.1, 0.2)
+R0 = (0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class SimConfig:

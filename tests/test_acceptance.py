@@ -68,13 +68,15 @@ def test_criterion_2_exact_recovery_transcendental(capsys):
         start = time.perf_counter()
         basis = generate_basis(2, M)
         ops = assemble_operators(problem, basis, BoxDomain.cube(1.0, d=2))
-        sol = solve_invariance(problem, ops, SolverOptions(backend="pseudoinverse"))
+        sol = solve_invariance(problem, ops)
         norm = residual_norm(problem, basis, sol.c, W=BoxDomain.cube(1.0, d=2)).weighted_norm
         elapsed = time.perf_counter() - start
         exact = cart_pendulum_exact_coefficients(basis, -2.0 / 3.0)
         coeff_err = np.abs(sol.blocks(4) - exact).max()
-        if not (sol.converged and norm <= 1e-6 and coeff_err <= 1e-5 and elapsed < 60.0):
-            failures.append(f"M={M}: norm={norm:.2e} coeff_err={coeff_err:.2e} t={elapsed:.1f}s")
+        if not (sol.converged and sol.backend_used == "pseudoinverse"
+                and norm <= 1e-6 and coeff_err <= 1e-5 and elapsed < 60.0):
+            failures.append(f"M={M}: norm={norm:.2e} coeff_err={coeff_err:.2e} t={elapsed:.1f}s "
+                            f"backend={sol.backend_used}")
     report(capsys, 2, not failures,
            failures or "pseudoinverse run matches the linear closed-form mapping")
 

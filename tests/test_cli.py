@@ -99,6 +99,22 @@ def test_unknown_config_key_exit_code(tmp_path, ladder_config):
     assert code == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize("text", [
+    "problem: {name: rl_linear\n",  # YAML syntax error
+    yaml.safe_dump({"problem": {"name": "rl_linear", "params": {"n": 1}},
+                    "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
+    yaml.safe_dump({"problem": {"name": "rl_linear"}, "solver": {"max_iter": 0},
+                    "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
+], ids=["yaml_syntax", "ladder_n1", "max_iter0"])
+def test_invalid_config_values_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    code = main(["--out", str(tmp_path / "out"), "--quiet", "solve", "--config", str(path)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
 def test_missing_config_file_exit_code(tmp_path):
     code = main(["--quiet", "solve", "--config", str(tmp_path / "nope.yaml")])
     assert code == EXIT_CONFIG_ERROR

@@ -38,6 +38,11 @@ def test_valid_config_passes():
     (lambda c: c.update({"solver": {"damping": 0.5}}), "damping"),
     (lambda c: c.update({"output_dir": "runs"}), "output_dir"),
     (lambda c: c.update({"simulation": {"method": "fixed_rk4"}}), "method"),
+    (lambda c: c.update({"solver": {"backend": "auto"}}), "backend"),
+    (lambda c: c.update({"solver": {"rank_cutoff": 1e-10}}), "rank_cutoff"),
+    (lambda c: c.update({"quadrature": 12}), "quadrature"),
+    (lambda c: c.update({"rom": {"mu": 0.5}}), "mu"),
+    (lambda c: c.update({"rom": {"margin": 0.5}}), "margin"),
 ])
 def test_invalid_configs_rejected_with_field_name(mutate, fragment):
     cfg = base_config()
@@ -86,12 +91,12 @@ def test_build_problem_generic_tables():
 
 def test_build_domain_and_solver_and_sim():
     cfg = base_config()
-    cfg["solver"] = {"backend": "pseudoinverse", "max_iter": 50}
+    cfg["solver"] = {"max_iter": 50}
     cfg["simulation"] = {"t_end": 10.0, "omega0": [0.2, 0.0], "x0": [0.0, 0.0]}
     dom = build_domain(cfg)
     assert np.allclose(dom.lo, [-1, -1])
     opts = build_solver_options(cfg)
-    assert opts.backend == "pseudoinverse" and opts.max_iter == 50
+    assert opts.max_iter == 50
     sim, omega0, r0, x0 = build_sim_config(cfg)
     assert sim.t_span == (0.0, 10.0)
     assert np.allclose(omega0, [0.2, 0.0])
@@ -113,3 +118,10 @@ def test_build_gain_variants():
     cfg["rom"] = {"gain": "constant", "G": [[0.0], [10.0]]}
     g = build_gain(cfg, prob)
     assert np.allclose(g.matrix(np.zeros(2)), [[0.0], [10.0]])
+
+
+def test_chain_vdp_gain_needs_problem_mu():
+    cfg = base_config()
+    cfg["rom"] = {"gain": "chain_vdp"}
+    with pytest.raises(ConfigError, match="mu"):
+        build_gain(cfg, build_problem(cfg))  # rl_linear has no mu
