@@ -96,19 +96,27 @@ def residual_F(problem: Problem, ops: GalerkinOperators, c: np.ndarray) -> np.nd
     return (C @ ops.A.T - fvals.T @ weighted_basis).ravel()
 
 
-def _blocks(ops: GalerkinOperators, vals: np.ndarray) -> np.ndarray:
-    """-(W B)^T diag(vals[:, e]) B for every column e of vals, shape (E, N, N)."""
+def _blocks(ops: GalerkinOperators, vals: np.ndarray, plus=None) -> np.ndarray:
+    """plus - (W B)^T diag(vals[:, e]) B for every column e of vals, shape
+    (E, N, N); plus is an (N, N) block, zero when None."""
     out = (vals.T @ ops.basis_products).reshape(-1, ops.size, ops.size)
-    return np.negative(out, out=out)  # in place: no second copy of the blocks
+    if plus is None:
+        return np.negative(out, out=out)  # in place: no second copy of the blocks
+    return np.subtract(plus, out, out=out)
 
 
-def _band(ops: GalerkinOperators, vals: np.ndarray, rows, cols, k: int, n: int) -> np.ndarray:
-    """Blocks (i, i + k) of JF less A, zero where the pattern has no entry.
-    Three band arrays rather than one keep each allocation a third as large."""
+def _band(ops: GalerkinOperators, vals: np.ndarray, rows, cols, k: int, n: int, plus=None):
+    """Blocks (i, i + k) of JF, plus ``plus`` on each, zero where the pattern
+    has no entry.  A band whose values are equal in every block column (a
+    linear coupling) is contracted once and returned as a read-only
+    broadcast view.  Three band arrays rather than one keep each allocation
+    a third as large."""
     sel = cols - rows == k
     band = np.zeros((vals.shape[0], n - abs(k)))
     band[:, np.minimum(rows, cols)[sel]] = vals[:, sel]
-    return _blocks(ops, band)
+    if np.all(band == band[:, :1]):
+        return np.broadcast_to(_blocks(ops, band[:, :1], plus), (band.shape[1],) + ops.A.shape)
+    return _blocks(ops, band, plus)
 
 
 def jacobian_JF(problem: Problem, ops: GalerkinOperators, c: np.ndarray):
@@ -120,9 +128,9 @@ def jacobian_JF(problem: Problem, ops: GalerkinOperators, c: np.ndarray):
     rows, cols = sys.jacobian_pattern
     vals = sys.f_jacobian_x(ops.basis_values @ C.T, ops.l_values)        # (K, nnz)
     if np.all(np.abs(rows - cols) <= 1):
-        diag, sub, sup = (_band(ops, vals, rows, cols, k, n) for k in (0, -1, 1))
-        diag += ops.A
-        return BlockTridiagonal(diag=diag, sub=sub, sup=sup)
+        return BlockTridiagonal(diag=_band(ops, vals, rows, cols, 0, n, plus=ops.A),
+                                sub=_band(ops, vals, rows, cols, -1, n),
+                                sup=_band(ops, vals, rows, cols, 1, n))
     check_dense_size(n, N)
     JF = np.zeros((n, N, n, N))
     JF[rows, :, cols, :] = _blocks(ops, vals)

@@ -46,6 +46,9 @@ def _fingerprint(cfg) -> str:
 def _solve_from_config(cfg):
     problem = build_problem(cfg)
     domain = build_domain(cfg)
+    if domain.d != problem.generator.d:
+        raise ConfigError(f"domain: lo and hi need d = {problem.generator.d} entries, "
+                          f"got {domain.d}")
     basis = generate_basis(problem.generator.d, cfg["degree"])
     ops = assemble_operators(problem, basis, domain)
     solution = solve_invariance(problem, ops, build_solver_options(cfg))

@@ -77,7 +77,11 @@ def validate_config(cfg: dict) -> dict:
     if name == "generic":
         if "generic" not in prob:
             raise ConfigError("problem.generic: required for generic problems")
-        _check_keys(prob["generic"], {"d", "n", "m", "p", "s", "l", "f", "h"}, "problem.generic")
+        required = {"d", "n", "m", "p", "s", "l", "f", "h"}
+        _check_keys(prob["generic"], required, "problem.generic")
+        missing = sorted(required - set(prob["generic"]))
+        if missing:
+            raise ConfigError(f"problem.generic: missing required keys {', '.join(missing)}")
     elif name in _BUILTINS:
         _check_keys(prob.get("params", {}), _BUILTINS[name][1], f"problem.params ({name})")
     else:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgesv
 
 # Largest dense Jacobian (in bytes) that is ever formed; beyond it dense
 # solves and pseudoinverses cost minutes and gigabytes, so they are refused.
@@ -34,7 +35,7 @@ class BlockTridiagonal:
 
     ``diag[i]`` is block (i, i), ``sub[i]`` is block (i + 1, i) and
     ``sup[i]`` is block (i, i + 1); arrays of shape (n, N, N), (n - 1, N, N)
-    and (n - 1, N, N).
+    and (n - 1, N, N), each possibly a read-only broadcast view of one block.
     """
 
     diag: np.ndarray
@@ -88,23 +89,26 @@ def solve_block_tridiagonal(A: BlockTridiagonal, b: np.ndarray) -> np.ndarray:
     """Block Thomas elimination; raises SingularMatrixError if a reduced
     diagonal block is singular.
 
-    Each reduced block D_i is factored once, for [W_i | g_i] =
-    D_i^{-1} [sup_i | r_i] with r_i the reduced right-hand side."""
+    Row i of one (n, N, N + 1) array starts as [sup_i | b_i] and is
+    overwritten by [W_i | g_i] = D_i^{-1} [sup_i | r_i], with D_i the reduced
+    diagonal block and r_i the reduced right-hand side: one LAPACK dgesv
+    per block."""
     n, N = A.nblocks, A.block_size
-    rhs = b.reshape(n, N)
-    Wg = [None] * n
-    denom, r = A.diag[0], rhs[0]
+    Wg = np.zeros((n, N, N + 1))
+    Wg[:-1, :, :N] = A.sup
+    Wg[:, :, N] = b.reshape(n, N)
+    denom = A.diag[0]
     for i in range(n):
         if i > 0:
             prod = A.sub[i - 1] @ Wg[i - 1]           # sub_{i-1} [W | g]
-            denom, r = A.diag[i] - prod[:, :N], rhs[i] - prod[:, N]
-        aug = np.column_stack([A.sup[i], r]) if i < n - 1 else r[:, None]
-        try:
-            Wg[i] = np.linalg.solve(denom, aug)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"singular reduced block at index {i}") from exc
+            denom = A.diag[i] - prod[:, :N]
+            Wg[i, :, N] -= prod[:, N]
+        cols = slice(None) if i < n - 1 else slice(N, None)  # the last block has no sup
+        _, _, Wg[i, :, cols], info = dgesv(denom, Wg[i, :, cols])
+        if info > 0:
+            raise SingularMatrixError(f"singular reduced block at index {i}")
     x = np.empty((n, N))
-    x[n - 1] = Wg[n - 1][:, 0]
+    x[n - 1] = Wg[n - 1, :, N]
     for i in range(n - 2, -1, -1):
-        x[i] = Wg[i][:, N] - Wg[i][:, :N] @ x[i + 1]
+        x[i] = Wg[i, :, N] - Wg[i, :, :N] @ x[i + 1]
     return x.ravel()

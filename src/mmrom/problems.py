@@ -88,7 +88,8 @@ class PolyMap:
 class SignalGenerator:
     """Autonomous exosystem omega' = s(omega), v = l(omega), both batched
     over (..., d).  ``degree`` is the largest polynomial degree of s and l,
-    or None when either is not polynomial."""
+    or None when either is not polynomial.  ``sl`` evaluates both in one
+    call, stacked as (..., d + m); by default it calls s and l."""
 
     d: int
     m: int
@@ -97,6 +98,11 @@ class SignalGenerator:
     s_jacobian: callable
     l_jacobian: callable
     degree: int | None = None
+    sl: callable = None
+
+    def __post_init__(self):
+        if self.sl is None:
+            self.sl = lambda omega: np.concatenate([self.s(omega), self.l(omega)], axis=-1)
 
 
 @dataclass
@@ -150,6 +156,7 @@ def generator_from_tables(d: int, m: int, s_tables, l_tables) -> SignalGenerator
         s=s_map, l=l_map,
         s_jacobian=s_map.jacobian, l_jacobian=l_map.jacobian,
         degree=max(s_map.max_degree(), l_map.max_degree()),
+        sl=PolyMap(s_map.tables + l_map.tables, d),  # same terms, same order: same values
     )
 
 
@@ -312,20 +319,19 @@ def make_rl_ladder(n: int, kappa: float = 1.1) -> FullOrderSystem:
     if n < 2:
         raise ValueError(f"require n >= 2, got n={n}")
     idx = np.arange(n)
-    T = np.zeros((n, n))
-    T[idx, idx] = -2.0 * kappa
-    T[idx[1:], idx[:-1]] = 1.0
-    T[idx[:-1], idx[1:]] = 1.0
-    b = np.zeros(n)
-    b[0] = 1.0
     rows = np.concatenate([idx, idx[1:], idx[:-1]])
     cols = np.concatenate([idx, idx[:-1], idx[1:]])
-    T_pattern = T[rows, cols]
+    T_pattern = np.concatenate([np.full(n, -2.0 * kappa), np.ones(2 * (n - 1))])
 
     def f(x, u):
         x = np.asarray(x, dtype=float)
-        # x @ T is T x per point because T is symmetric
-        return x @ T - (x * x / 2.0 + x * x * x / 3.0) + b * np.atleast_1d(u)[..., :1]
+        out = -2.0 * kappa * x  # T x: the diagonal, then the off-diagonals as shifted slices
+        out[..., 1:] += x[..., :-1]
+        out[..., :-1] += x[..., 1:]
+        x2 = x * x
+        out -= x2 / 2.0 + x2 * x / 3.0
+        out[..., :1] += u
+        return out
 
     def f_jacobian_x(x, u):
         x = np.asarray(x, dtype=float)
@@ -334,7 +340,7 @@ def make_rl_ladder(n: int, kappa: float = 1.1) -> FullOrderSystem:
         return vals
 
     def f_jacobian_u(x, u):
-        return b[:, None].copy()
+        return np.eye(n, 1)
 
     def h(x):
         return np.asarray(x, dtype=float)[..., :1]

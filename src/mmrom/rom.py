@@ -61,10 +61,12 @@ def build_rom(problem: Problem, solution: Solution, gain: GainSpec) -> ReducedOr
     gen, sys = problem.generator, problem.system
     basis = solution.basis
     C = solution.blocks(sys.n)
+    d = gen.d
 
     def dynamics(r, u):
         g = gain.matrix(r)
-        return gen.s(r) - g @ gen.l(r) + g @ u
+        sl = gen.sl(r)
+        return sl[:d] - g @ sl[d:] + g @ u
 
     def output(r):
         return sys.h(eval_basis(basis, r) @ C.T)

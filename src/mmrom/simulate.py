@@ -59,8 +59,8 @@ def _drive(generator, dynamics, omega0, state0, config: SimConfig | None):
     d = generator.d
 
     def rhs(t, z):
-        omega = z[:d]
-        return np.concatenate([generator.s(omega), dynamics(z[d:], generator.l(omega))])
+        sl = generator.sl(z[:d])
+        return np.concatenate([sl[:d], dynamics(z[d:], sl[d:])])
 
     return _integrate(rhs, np.concatenate([omega0, state0], dtype=float), config or SimConfig())
 

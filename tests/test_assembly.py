@@ -343,3 +343,26 @@ def test_jacobian_pattern_and_JF_on_random_sparse_tables(n, degree, seed):
     fdJ = np.column_stack([(residual_F(prob, ops, c + h * e) - residual_F(prob, ops, c - h * e))
                            / (2 * h) for e in np.eye(dim)])
     assert np.abs(_dense(J) - fdJ).max() <= 1e-5 * max(np.abs(fdJ).max(), 1.0)
+
+
+def test_ladder_jacobian_shares_constant_bands():
+    prob = make_rl_vdp(5)
+    n = prob.system.n
+    basis = generate_basis(2, 3)
+    ops = assemble_operators(prob, basis, BoxDomain.cube(2.0, d=2))
+    N = basis.size
+    c = np.random.default_rng(4).normal(scale=0.3, size=n * N)
+    J = jacobian_JF(prob, ops, c)
+    # the unit couplings are one contracted block, seen through a stride-0 view
+    assert J.sub.strides[0] == 0 and J.sup.strides[0] == 0
+    assert J.diag.strides[0] != 0
+    # dense reference: every block (i, j) built from the full df/dx at the nodes
+    rows, cols = prob.system.jacobian_pattern
+    X = ops.basis_values @ c.reshape(n, N).T
+    dfdx = np.zeros((X.shape[0], n, n))
+    dfdx[:, rows, cols] = prob.system.f_jacobian_x(X, ops.l_values)
+    WB = ops.basis_values * ops.rule.weights[:, None]
+    ref = -np.einsum("ka,kij,kb->iajb", WB, dfdx, ops.basis_values)
+    ref[np.arange(n), :, np.arange(n), :] += ops.A
+    ref = ref.reshape(n * N, n * N)
+    assert np.allclose(J.to_dense(), ref, rtol=0, atol=1e-13 * np.abs(ref).max())

@@ -105,7 +105,11 @@ def test_unknown_config_key_exit_code(tmp_path, ladder_config):
                     "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
     yaml.safe_dump({"problem": {"name": "rl_linear"}, "solver": {"max_iter": 0},
                     "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
-], ids=["yaml_syntax", "ladder_n1", "max_iter0"])
+    yaml.safe_dump({"problem": {"name": "rl_linear"},
+                    "domain": {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]}, "degree": 2}),
+    yaml.safe_dump({"problem": {"name": "generic", "generic": {"d": 2}},
+                    "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
+], ids=["yaml_syntax", "ladder_n1", "max_iter0", "domain_length", "generic_missing_tables"])
 def test_invalid_config_values_exit_code(tmp_path, capsys, text):
     path = tmp_path / "run.yaml"
     path.write_text(text)

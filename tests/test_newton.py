@@ -22,6 +22,7 @@ from mmrom.newton import (
 )
 from mmrom.problems import (
     Problem,
+    generator_from_tables,
     linearize,
     make_linear_oscillator,
     make_rl_ladder,
@@ -72,6 +73,14 @@ class TestBackends:
                              sub=np.empty((0, 4, 4)), sup=np.empty((0, 4, 4)))
         b = rng.normal(size=4)
         assert np.allclose(solve_block_tridiagonal(A, b), np.linalg.solve(A.diag[0], b))
+
+    def test_block_tridiagonal_singular_reduced_block_after_the_first(self):
+        # D_0 = I, D_1 = 2I - I = I, D_2 = I - I = 0: exact in floating point
+        eye = np.eye(2)
+        A = BlockTridiagonal(diag=np.stack([eye, 2 * eye, eye]),
+                             sub=np.stack([eye, eye]), sup=np.stack([eye, eye]))
+        with pytest.raises(SingularMatrixError, match="index 2"):
+            solve_block_tridiagonal(A, np.ones(6))
 
     def test_newton_step_backend_equivalence(self):
         prob = make_rl_linear(4)
@@ -153,6 +162,24 @@ class TestSolveInvariance:
             sol, _ = solve_benchmark(prob, 1.0, M)
             assert sol.converged
             assert sol.backend_used == "pseudoinverse"
+
+    def test_singular_reduced_block_falls_back_to_pseudoinverse(self):
+        # s = 0 leaves A = 0, and f_1 = f_2 = -(x_1 + x_2) + u makes all four
+        # 1x1 blocks the same g > 0, so D_0 = g and D_1 = g - g * (g / g) = 0
+        gen = generator_from_tables(d=1, m=1, s_tables=[{(1,): 0.0}], l_tables=[{(1,): 1.0}])
+        row = {(1, 0, 0): -1.0, (0, 1, 0): -1.0, (0, 0, 1): 1.0}
+        sys = system_from_tables(n=2, m=1, p=1, f_tables=[row, row], h_tables=[{(1, 0): 1.0}])
+        prob = Problem(generator=gen, system=sys)
+        ops = assemble_operators(prob, generate_basis(1, 1), BoxDomain.cube(1.0, d=1))
+        JF = jacobian_JF(prob, ops, np.zeros(2))
+        assert isinstance(JF, BlockTridiagonal)
+        with pytest.raises(SingularMatrixError, match="index 1"):
+            solve_block_tridiagonal(JF, np.ones(2))
+        sol = solve_invariance(prob, ops)
+        assert sol.converged and sol.iterations == 1
+        assert sol.backend_used == "pseudoinverse"
+        # the invariance equation asks pi_1 + pi_2 = omega; the minimum-norm step splits it evenly
+        assert np.allclose(sol.c, [0.5, 0.5], rtol=1e-12)
 
     def test_no_step_taken_reports_no_backend(self):
         prob = make_test1(2.0)

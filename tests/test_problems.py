@@ -237,6 +237,25 @@ class TestLadder:
         assert np.array_equal(sys.f(eye, np.zeros((n, 1))), T - (eye * eye / 2.0 + eye * eye * eye / 3.0))
         assert np.array_equal(_dense_fx(sys, np.zeros(n), np.zeros(1)), T)
 
+    @pytest.mark.parametrize("n", [2, 5, 1000])
+    def test_dynamics_match_dense_coupling_matrix(self, n):
+        kappa = 1.1
+        T = np.diag(-2.0 * kappa * np.ones(n)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        b = np.eye(n)[0]
+        sys = make_rl_ladder(n, kappa)
+        rng = np.random.default_rng(n)
+        X = rng.uniform(-2.0, 2.0, size=(2, 3, n))
+        U = rng.uniform(-1.0, 1.0, size=(2, 3, 1))
+
+        def reference(x, u):
+            return x @ T - (x * x / 2.0 + x * x * x / 3.0) + b * u[..., :1]
+
+        # the sums run in another order than the matrix product: a few ulp
+        assert np.allclose(sys.f(X, U), reference(X, U), rtol=1e-14, atol=1e-13)
+        for idx in np.ndindex(2, 3):
+            assert np.allclose(sys.f(X[idx], U[idx]), reference(X[idx], U[idx]),
+                               rtol=1e-14, atol=1e-13)
+
     def test_jacobian_pattern_is_tridiagonal(self):
         for sys in (make_rl_ladder(2), make_rl_linear(3).system, make_rl_vdp(5).system):
             rows, cols = sys.jacobian_pattern
@@ -259,6 +278,14 @@ class TestGenerators:
         assert np.allclose(gen.s(w), [2.0, -0.5 + 0.25 * (1 - 0.25) * 2.0])
         with pytest.raises(ValueError):
             make_van_der_pol(0.0)
+
+
+@pytest.mark.parametrize("make", [make_test1, make_cart_pendulum, lambda: make_rl_vdp(2)])
+def test_fused_generator_call_stacks_s_and_l(make):
+    gen = make().generator
+    W = np.random.default_rng(7).uniform(-0.8, 0.8, size=(4, gen.d))
+    for w in (W, W[0]):
+        assert np.array_equal(gen.sl(w), np.concatenate([gen.s(w), gen.l(w)], axis=-1))
 
 
 @pytest.mark.parametrize("make", [make_test1, make_cart_pendulum,
