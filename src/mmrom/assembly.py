@@ -70,10 +70,10 @@ def assemble_operators(
     basis_values = eval_basis(basis, rule.nodes)
     weighted_basis = basis_values * rule.weights[:, None]
     basis_products = (weighted_basis[:, :, None] * basis_values[:, None, :]).reshape(-1, N * N)
-    l_values = np.asarray(gen.l(rule.nodes), dtype=float)
+    sl_values = np.asarray(gen.sl(rule.nodes), dtype=float)
+    s_values, l_values = sl_values[:, :gen.d], sl_values[:, gen.d:]
 
     grads = eval_basis_gradient(basis, rule.nodes)
-    s_values = gen.s(rule.nodes)
     A = np.zeros((N, N))
     for k in range(basis.d):
         A += weighted_basis.T @ (grads[:, :, k] * s_values[:, k:k + 1])

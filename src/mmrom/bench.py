@@ -15,7 +15,7 @@ from .problems import Problem, make_cart_pendulum, make_rl_linear, make_rl_vdp, 
 from .quadrature import BoxDomain
 from .residuals import residual_norm
 from .rom import default_gain, build_rom
-from .simulate import OMEGA0, R0, SimConfig, simulate_fom, simulate_rom, steady_state_rms
+from .simulate import OMEGA0, R0, simulate_fom, simulate_rom, steady_state_rms
 
 HALF_WIDTHS = (1.0, 2.0, 3.0)
 DEGREES = (2, 4, 6)
@@ -240,10 +240,9 @@ def run_rom_cell(spec: dict, half_width: float, M: int) -> CellResult:
     value = None
     if solution.converged:
         rom = build_rom(problem, solution, default_gain(problem))
-        sim = SimConfig()
-        fom = simulate_fom(problem, omega0=OMEGA0, x0=np.zeros(problem.system.n), config=sim)
-        red = simulate_rom(rom, problem.generator, omega0=OMEGA0, r0=R0, config=sim)
-        value = steady_state_rms(fom, red, sim)["relative_rms"]
+        fom = simulate_fom(problem, omega0=OMEGA0, x0=np.zeros(problem.system.n))
+        red = simulate_rom(rom, problem.generator, omega0=OMEGA0, r0=R0)
+        value = steady_state_rms(fom, red)["relative_rms"]
     return CellResult(
         half_width=half_width, M=M, n=spec["n"], value=value, reference=ref,
         passed=_check_cell(value, ref, solution.converged, spec["criterion"]),

@@ -16,7 +16,7 @@ from .config import (
     build_domain,
     build_gain,
     build_problem,
-    build_sim_config,
+    build_simulation,
     build_solver_options,
     load_config,
 )
@@ -43,27 +43,27 @@ def _fingerprint(cfg) -> str:
     return problem_fingerprint(prob["name"], prob.get("params", {}) or {})
 
 
-def _solve_from_config(cfg):
-    problem = build_problem(cfg)
+def _solve_from_config(cfg, problem):
+    """Newton solution of the configured domain and degree; it records both."""
     domain = build_domain(cfg)
     if domain.d != problem.generator.d:
         raise ConfigError(f"domain: lo and hi need d = {problem.generator.d} entries, "
                           f"got {domain.d}")
     basis = generate_basis(problem.generator.d, cfg["degree"])
     ops = assemble_operators(problem, basis, domain)
-    solution = solve_invariance(problem, ops, build_solver_options(cfg))
-    return problem, domain, basis, solution
+    return solve_invariance(problem, ops, build_solver_options(cfg))
 
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    problem, domain, basis, solution = _solve_from_config(cfg)
+    problem = build_problem(cfg)
+    solution = _solve_from_config(cfg, problem)
     coeff_path = out / "coefficients.txt"
     write_coefficients(
-        coeff_path, solution.c, n=problem.system.n, d=basis.d, M=basis.M,
-        domain=domain, fingerprint=_fingerprint(cfg),
+        coeff_path, solution.c, n=problem.system.n, d=solution.basis.d, M=solution.basis.M,
+        domain=solution.domain, fingerprint=_fingerprint(cfg),
     )
     log_path = out / "convergence.csv"
     with open(log_path, "w", newline="") as fh:
@@ -93,6 +93,11 @@ def cmd_residual(args) -> int:
     if data["fingerprint"] and data["fingerprint"] != _fingerprint(cfg):
         raise ConfigError("coefficient file fingerprint does not match the configured problem")
     problem = build_problem(cfg)
+    if (data["n"], data["d"]) != (problem.system.n, problem.generator.d):
+        raise ConfigError(f"{args.coefficients}: n = {data['n']}, d = {data['d']} do not match "
+                          f"the configured n = {problem.system.n}, d = {problem.generator.d}")
+    if not args.subdomain > 0:
+        raise ConfigError(f"--subdomain: must be positive, got {args.subdomain:g}")
     basis = generate_basis(data["d"], data["M"])
     W = BoxDomain.cube(args.subdomain, d=data["d"])
     report = residual_norm(problem, basis, data["c"], W=W, solve_domain=data["domain"])
@@ -116,18 +121,17 @@ def cmd_residual(args) -> int:
 
 def cmd_rom(args) -> int:
     cfg = load_config(args.config)
-    problem, domain, basis, solution = _solve_from_config(cfg)
+    problem = build_problem(cfg)
+    gain = build_gain(cfg, problem)
+    t_span, omega0, r0, x0 = build_simulation(cfg, problem)
+    solution = _solve_from_config(cfg, problem)
     if not solution.converged:
         _say(args, "invariance solve did not converge; cannot build the reduced model")
         return EXIT_NOT_CONVERGED
-    gain = build_gain(cfg, problem)
     rom = build_rom(problem, solution, gain)
-    sim, omega0, r0, x0 = build_sim_config(cfg)
-    if x0 is None:
-        x0 = np.zeros(problem.system.n)
-    fom_traj = simulate_fom(problem, omega0, x0, sim)
-    rom_traj = simulate_rom(rom, problem.generator, omega0, r0, sim)
-    metrics = steady_state_rms(fom_traj, rom_traj, sim)
+    fom_traj = simulate_fom(problem, omega0, x0, t_span)
+    rom_traj = simulate_rom(rom, problem.generator, omega0, r0, t_span)
+    metrics = steady_state_rms(fom_traj, rom_traj)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fom_traj.to_csv(out / "fom_output.csv", label="y")

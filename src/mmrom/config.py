@@ -18,7 +18,7 @@ from .problems import (
 )
 from .quadrature import BoxDomain
 from .rom import GainSpec, default_gain
-from .simulate import OMEGA0, R0, SimConfig
+from .simulate import OMEGA0, R0, T_SPAN
 
 
 class ConfigError(ValueError):
@@ -31,10 +31,7 @@ _SCHEMA = {
     "degree": None,
     "solver": {"tol_F_l1", "max_iter"},
     "rom": {"gain", "c", "G"},
-    "simulation": {
-        "t_start", "t_end", "abs_tol", "rel_tol",
-        "steady_window_fraction", "omega0", "r0", "x0",
-    },
+    "simulation": {"t_start", "t_end", "omega0", "r0", "x0"},
 }
 
 _BUILTINS = {  # name -> (constructor, accepted params)
@@ -62,14 +59,19 @@ def _check_keys(mapping: dict, allowed, where: str) -> None:
             raise ConfigError(f"{where}: unknown key {key!r}")
 
 
+def _require(mapping: dict, required, where: str) -> None:
+    missing = [key for key in sorted(required) if key not in mapping]
+    if missing:
+        raise ConfigError(f"{where}: missing required keys {', '.join(missing)}")
+
+
 def validate_config(cfg: dict) -> dict:
     _check_keys(cfg, _SCHEMA, "config")
-    for key in ("problem", "domain", "degree"):
-        if key not in cfg:
-            raise ConfigError(f"config: missing required key {key!r}")
+    _require(cfg, ("problem", "domain", "degree"), "config")
     for key, allowed in _SCHEMA.items():
         if allowed is not None and key in cfg:
             _check_keys(cfg[key], allowed, key)
+    _require(cfg["domain"], _SCHEMA["domain"], "domain")
     prob = cfg["problem"]
     name = prob.get("name")
     if name is None:
@@ -79,9 +81,7 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError("problem.generic: required for generic problems")
         required = {"d", "n", "m", "p", "s", "l", "f", "h"}
         _check_keys(prob["generic"], required, "problem.generic")
-        missing = sorted(required - set(prob["generic"]))
-        if missing:
-            raise ConfigError(f"problem.generic: missing required keys {', '.join(missing)}")
+        _require(prob["generic"], required, "problem.generic")
     elif name in _BUILTINS:
         _check_keys(prob.get("params", {}), _BUILTINS[name][1], f"problem.params ({name})")
     else:
@@ -149,15 +149,26 @@ def build_solver_options(cfg: dict) -> SolverOptions:
         return SolverOptions(**raw)
 
 
-def build_sim_config(cfg: dict):
-    raw = dict(cfg.get("simulation", {}) or {})
-    t_start, t_end = SimConfig.t_span
+def _vector(raw: dict, key: str, default, size: int) -> np.ndarray:
+    value = np.asarray(raw.get(key, default), dtype=float)
+    if value.shape != (size,):
+        raise ValueError(f"{key} needs {size} entries, got shape {value.shape}")
+    return value
+
+
+def build_simulation(cfg: dict, problem: Problem):
+    """The span and the initial generator, reduced and full-order states of
+    the ROM experiment, each checked against the problem's dimensions."""
+    raw = cfg.get("simulation", {}) or {}
+    d, n = problem.generator.d, problem.system.n
     with _section("simulation"):
-        omega0 = np.asarray(raw.pop("omega0", OMEGA0), dtype=float)
-        r0 = np.asarray(raw.pop("r0", R0), dtype=float)
-        x0 = raw.pop("x0", None)
-        t_span = (float(raw.pop("t_start", t_start)), float(raw.pop("t_end", t_end)))
-        return SimConfig(t_span=t_span, **raw), omega0, r0, x0
+        t_span = (float(raw.get("t_start", T_SPAN[0])), float(raw.get("t_end", T_SPAN[1])))
+        if not t_span[0] < t_span[1]:
+            raise ValueError(f"require t_start < t_end, got {t_span}")
+        omega0 = _vector(raw, "omega0", OMEGA0, d)
+        r0 = _vector(raw, "r0", R0, d)
+        x0 = _vector(raw, "x0", np.zeros(n), n)
+    return t_span, omega0, r0, x0
 
 
 def build_gain(cfg: dict, problem: Problem) -> GainSpec:
@@ -172,7 +183,11 @@ def build_gain(cfg: dict, problem: Problem) -> GainSpec:
         if kind == "auto":
             return default_gain(problem, c=c)
         if kind == "constant":
-            return GainSpec(kind="constant", G=np.asarray(raw["G"], dtype=float))
+            G = np.asarray(raw["G"], dtype=float)
+            shape = (problem.generator.d, problem.generator.m)
+            if G.shape != shape:
+                raise ValueError(f"G needs shape {shape}, got {G.shape}")
+            return GainSpec(kind="constant", G=G)
         if kind == "chain_linear":
             return GainSpec(kind="chain_linear", c=c)
         if kind == "chain_vdp":

@@ -78,8 +78,6 @@ def read_coefficients(path) -> dict:
         "n": n,
         "d": d,
         "M": M,
-        "N": N,
         "domain": domain,
         "fingerprint": header.get("problem", ""),
-        "format": fmt,
     }

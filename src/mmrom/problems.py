@@ -5,12 +5,13 @@ system (f, h) through u = l(omega).  Polynomial maps can be given as
 coefficient tables (exponent multi-index -> coefficient, per component);
 transcendental dynamics are provided through the built-in constructors.
 
-s, l, f and h accept batched inputs (..., d), (..., d), (..., n) with
-(..., m), and (..., n).  A system also states the structural nonzeros of
-df/dx (``jacobian_pattern``), with ``f_jacobian_x`` returning the values on
-them, and the polynomial degree of f in (x, u) (``degree``, None for
-non-polynomial f).  A generator states the largest polynomial degree of s
-and l the same way.
+A generator states one map ``sl``, s and l stacked as (..., d + m) over
+(..., d), and its (d + m, d) Jacobian ``sl_jacobian`` at one point.  f and h
+accept batched inputs (..., n) with (..., m), and (..., n).  A system also
+states the structural nonzeros of df/dx (``jacobian_pattern``), with
+``f_jacobian_x`` returning the values on them, and the polynomial degree of
+f in (x, u) (``degree``, None for non-polynomial f).  A generator states the
+largest polynomial degree of s and l the same way.
 """
 from __future__ import annotations
 
@@ -86,23 +87,16 @@ class PolyMap:
 
 @dataclass
 class SignalGenerator:
-    """Autonomous exosystem omega' = s(omega), v = l(omega), both batched
-    over (..., d).  ``degree`` is the largest polynomial degree of s and l,
-    or None when either is not polynomial.  ``sl`` evaluates both in one
-    call, stacked as (..., d + m); by default it calls s and l."""
+    """Autonomous exosystem omega' = s(omega), v = l(omega).  ``sl`` returns
+    both stacked, (..., d + m) over (..., d); ``sl_jacobian`` is their
+    (d + m, d) Jacobian at one point.  ``degree`` is the largest polynomial
+    degree of s and l, or None when either is not polynomial."""
 
     d: int
     m: int
-    s: callable
-    l: callable
-    s_jacobian: callable
-    l_jacobian: callable
+    sl: callable
+    sl_jacobian: callable
     degree: int | None = None
-    sl: callable = None
-
-    def __post_init__(self):
-        if self.sl is None:
-            self.sl = lambda omega: np.concatenate([self.s(omega), self.l(omega)], axis=-1)
 
 
 @dataclass
@@ -147,17 +141,10 @@ class Problem:
 
 def generator_from_tables(d: int, m: int, s_tables, l_tables) -> SignalGenerator:
     """Build a polynomial signal generator from coefficient tables."""
-    s_map = PolyMap(s_tables, d)
-    l_map = PolyMap(l_tables, d)
-    if s_map.nout != d or l_map.nout != m:
+    if len(s_tables) != d or len(l_tables) != m:
         raise ValueError("table counts inconsistent with d, m")
-    return SignalGenerator(
-        d=d, m=m,
-        s=s_map, l=l_map,
-        s_jacobian=s_map.jacobian, l_jacobian=l_map.jacobian,
-        degree=max(s_map.max_degree(), l_map.max_degree()),
-        sl=PolyMap(s_map.tables + l_map.tables, d),  # same terms, same order: same values
-    )
+    sl = PolyMap(list(s_tables) + list(l_tables), d)
+    return SignalGenerator(d=d, m=m, sl=sl, sl_jacobian=sl.jacobian, degree=sl.max_degree())
 
 
 def system_from_tables(n: int, m: int, p: int, f_tables, h_tables) -> FullOrderSystem:
@@ -253,22 +240,17 @@ def make_cart_pendulum(a1: float = 2.0, a2: float = 3.0, k: float = -2.0 / 3.0) 
     if not k < -1.0 / a2:
         raise ValueError(f"require k < -1/a2 = {-1.0 / a2}, got k={k}")
 
-    def s(omega):
+    def sl(omega):
         w1, w2 = np.moveaxis(np.asarray(omega, dtype=float), -1, 0)
-        return np.stack([w2, a1 * np.sin(w1) / (1.0 + k * a2 * np.cos(w1))], axis=-1)
+        sin, denom = np.sin(w1), 1.0 + k * a2 * np.cos(w1)
+        return np.stack([w2, a1 * sin / denom, k * a1 * sin / denom], axis=-1)
 
-    def s_jacobian(omega):
+    def sl_jacobian(omega):
         w1, _ = omega
         denom = 1.0 + k * a2 * np.cos(w1)
         ds2 = (a1 * np.cos(w1) * denom + a1 * np.sin(w1) * k * a2 * np.sin(w1)) / denom ** 2
-        return np.array([[0.0, 1.0], [ds2, 0.0]])
-
-    def l(omega):
-        w1 = np.asarray(omega, dtype=float)[..., 0]
-        return (k * a1 * np.sin(w1) / (1.0 + k * a2 * np.cos(w1)))[..., None]
-
-    def l_jacobian(omega):
-        return (k * s_jacobian(omega)[1, :])[None, :]
+        ds = np.array([ds2, 0.0])  # d s_2 / d omega; l = k s_2
+        return np.array([[0.0, 1.0], ds, k * ds])
 
     def f(x, u):
         x0, _, x2, x3 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
@@ -284,7 +266,7 @@ def make_cart_pendulum(a1: float = 2.0, a2: float = 3.0, k: float = -2.0 / 3.0) 
     def f_jacobian_u(x, u):
         return np.array([[0.0], [0.0], [-a2 * np.cos(x[0])], [1.0]])
 
-    gen = SignalGenerator(d=2, m=1, s=s, l=l, s_jacobian=s_jacobian, l_jacobian=l_jacobian)
+    gen = SignalGenerator(d=2, m=1, sl=sl, sl_jacobian=sl_jacobian)
 
     def h(x):
         return np.asarray(x, dtype=float)[..., :1]
@@ -402,37 +384,31 @@ def make_rl_vdp(n: int = 2, mu: float = 0.25, kappa: float = 1.1) -> Problem:
 # Linearization and assumption checks
 # ---------------------------------------------------------------------------
 
+# A generator eigenvalue whose real part is below this in magnitude counts as imaginary.
+SPECTRUM_TOL = 1e-9
+
+
 def linearize(problem: Problem):
     """Jacobians (S, L, A_sys, B_sys) of the problem data at the origin."""
     gen, sys = problem.generator, problem.system
-    zero_w = np.zeros(gen.d)
-    zero_x = np.zeros(sys.n)
-    zero_u = np.zeros(sys.m)
-    S = np.asarray(gen.s_jacobian(zero_w), dtype=float)
-    L = np.atleast_2d(np.asarray(gen.l_jacobian(zero_w), dtype=float))
+    J = np.asarray(gen.sl_jacobian(np.zeros(gen.d)), dtype=float)
+    x0, u0 = np.zeros(sys.n), np.zeros(sys.m)
     A_sys = np.zeros((sys.n, sys.n))
-    A_sys[sys.jacobian_pattern] = sys.f_jacobian_x(zero_x, zero_u)
-    B_sys = np.asarray(sys.f_jacobian_u(zero_x, zero_u), dtype=float).reshape(sys.n, sys.m)
-    return S, L, A_sys, B_sys
+    A_sys[sys.jacobian_pattern] = sys.f_jacobian_x(x0, u0)
+    B_sys = np.asarray(sys.f_jacobian_u(x0, u0), dtype=float).reshape(sys.n, sys.m)
+    return J[:gen.d], J[gen.d:], A_sys, B_sys
 
 
-def check_assumptions(problem: Problem, tol: float = 1e-9) -> dict:
+def check_assumptions(problem: Problem) -> dict:
     """Advisory report on generator neutral stability (necessary condition)
     and first-approximation stability of the system."""
     S, _, A_sys, _ = linearize(problem)
     s_eigs = np.linalg.eigvals(S)
     a_eigs = np.linalg.eigvals(A_sys)
-    purely_imaginary = bool(np.all(np.abs(s_eigs.real) < tol))
+    purely_imaginary = bool(np.all(np.abs(s_eigs.real) < SPECTRUM_TOL))
     simple = len(set(np.round(s_eigs, 9))) == len(s_eigs)
-    a1 = purely_imaginary and simple
-    a2 = bool(np.all(a_eigs.real < 0))
     return {
-        "A1_necessary": a1,
-        "A2": a2,
-        "details": {
-            "generator_eigenvalues": s_eigs,
-            "system_eigenvalues": a_eigs,
-            "generator_spectrum_imaginary": purely_imaginary,
-            "generator_spectrum_simple": simple,
-        },
+        "A1_necessary": purely_imaginary and simple,
+        "A2": bool(np.all(a_eigs.real < 0)),
+        "details": {"generator_eigenvalues": s_eigs, "system_eigenvalues": a_eigs},
     }

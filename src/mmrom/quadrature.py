@@ -48,7 +48,6 @@ class QuadratureRule:
 
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    points_per_dim: int
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -77,7 +76,7 @@ def tensor_rule(domain: BoxDomain, q: int) -> QuadratureRule:
     weights = np.ones(nodes.shape[0])
     for g in wgrids:
         weights *= g.ravel()
-    return QuadratureRule(nodes=nodes, weights=weights, points_per_dim=q)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def monomial_integral_1d(lo: float, hi: float, e: int) -> float:

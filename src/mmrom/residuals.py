@@ -17,8 +17,6 @@ DEFAULT_NORM_QUADRATURE = 20
 class ResidualReport:
     per_component_norms: np.ndarray
     weighted_norm: float
-    subdomain: BoxDomain
-    quadrature_order: int
 
 
 def residual_at(problem: Problem, basis: Basis, c: np.ndarray, omega) -> np.ndarray:
@@ -31,9 +29,9 @@ def residual_at(problem: Problem, basis: Basis, c: np.ndarray, omega) -> np.ndar
     omega = np.asarray(omega, dtype=float)
     pts = omega.reshape(-1, omega.shape[-1])
     grads = eval_basis_gradient(basis, pts)           # (K, N, d)
-    svals = gen.s(pts)                                # (K, d)
-    advect = sum((grads[:, :, j] @ C.T) * svals[:, j:j + 1] for j in range(basis.d))
-    fvals = np.asarray(sys.f(eval_basis(basis, pts) @ C.T, gen.l(pts)), dtype=float)
+    sl = gen.sl(pts)                                  # (K, d + m)
+    advect = sum((grads[:, :, j] @ C.T) * sl[:, j:j + 1] for j in range(basis.d))
+    fvals = np.asarray(sys.f(eval_basis(basis, pts) @ C.T, sl[:, basis.d:]), dtype=float)
     finite = np.isfinite(fvals).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite dynamics at omega={pts[~finite][0]}")
@@ -65,10 +63,5 @@ def residual_norm(
     total = block_norms.sum()
     if total == 0.0:
         raise ValueError("all coefficient blocks are zero; weighted norm is undefined")
-    weighted = float(block_norms @ per_component / total)
-    return ResidualReport(
-        per_component_norms=per_component,
-        weighted_norm=weighted,
-        subdomain=W,
-        quadrature_order=q,
-    )
+    return ResidualReport(per_component_norms=per_component,
+                          weighted_norm=float(block_norms @ per_component / total))

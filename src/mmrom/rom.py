@@ -9,6 +9,10 @@ import scipy.signal
 from .basis import eval_basis
 from .newton import Solution
 from .problems import Problem, linearize
+from .quadrature import BoxDomain
+
+# Central-difference step of verify_rom_stability.
+FD_STEP = 1e-6
 
 
 class UnstableGainError(RuntimeError):
@@ -50,8 +54,7 @@ class ReducedOrderModel:
     dim: int
     dynamics: callable = field(repr=False)
     output: callable = field(repr=False)
-    gain_spec: GainSpec = None
-    pi_solution: Solution = None
+    domain: BoxDomain  # the box pi^N was solved on
 
 
 def build_rom(problem: Problem, solution: Solution, gain: GainSpec) -> ReducedOrderModel:
@@ -71,10 +74,7 @@ def build_rom(problem: Problem, solution: Solution, gain: GainSpec) -> ReducedOr
     def output(r):
         return sys.h(eval_basis(basis, r) @ C.T)
 
-    rom = ReducedOrderModel(
-        dim=gen.d, dynamics=dynamics, output=output,
-        gain_spec=gain, pi_solution=solution,
-    )
+    rom = ReducedOrderModel(dim=gen.d, dynamics=dynamics, output=output, domain=solution.domain)
     report = verify_rom_stability(rom, problem)
     if not report["stable"]:
         raise UnstableGainError(
@@ -106,7 +106,7 @@ def stabilizing_gain(S: np.ndarray, L: np.ndarray, target_margin: float = 0.5) -
     return G
 
 
-def verify_rom_stability(rom: ReducedOrderModel, problem: Problem, step: float = 1e-6) -> dict:
+def verify_rom_stability(rom: ReducedOrderModel, problem: Problem) -> dict:
     """Finite-difference linearization at the origin of the reduced dynamics
     at u = 0, r -> s(r) - g(r) l(r)."""
     d = rom.dim
@@ -114,8 +114,8 @@ def verify_rom_stability(rom: ReducedOrderModel, problem: Problem, step: float =
     J = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)
-        e[j] = step
-        J[:, j] = (rom.dynamics(e, u0) - rom.dynamics(-e, u0)) / (2.0 * step)
+        e[j] = FD_STEP
+        J[:, j] = (rom.dynamics(e, u0) - rom.dynamics(-e, u0)) / (2.0 * FD_STEP)
     eigs = np.linalg.eigvals(J)
     return {
         "stable": bool(np.max(eigs.real) < 0.0),

@@ -1,4 +1,12 @@
-"""RK45 time integration of the interconnected systems and steady-state metrics."""
+"""The ROM experiment: RK45 integration of the generator driving the full-order
+or the reduced system, and the steady-state error between their outputs.
+
+The benchmark experiment starts the generator at OMEGA0, the reduced model
+at R0 and the full-order system at rest, and integrates over T_SPAN.  RK45
+always runs at absolute and relative tolerance RK45_TOL, and the score always
+covers the last STEADY_WINDOW fraction of the span; a ``simulation`` config
+section may choose other initial states and another span.
+"""
 from __future__ import annotations
 
 import warnings
@@ -10,25 +18,13 @@ from scipy.integrate import solve_ivp
 from .problems import Problem
 from .rom import ReducedOrderModel
 
-# Initial generator and reduced states of the ROM experiment, for d = 2.
+# The benchmark ROM experiment: initial generator and reduced states (d = 2),
+# span, RK45 tolerance and the trailing fraction of the span that is scored.
 OMEGA0 = (0.1, 0.2)
 R0 = (0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Settings of the RK45 integration and of the steady-state window."""
-
-    t_span: tuple = (0.0, 50.0)
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    steady_window_fraction: float = 0.4
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0.0 < self.steady_window_fraction < 1.0:
-            raise ValueError("steady_window_fraction must lie in (0, 1)")
+T_SPAN = (0.0, 50.0)
+RK45_TOL = 1e-9
+STEADY_WINDOW = 0.4
 
 
 @dataclass
@@ -44,17 +40,14 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def _integrate(rhs, z0: np.ndarray, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    sol = solve_ivp(
-        rhs, config.t_span, z0, method="RK45",
-        rtol=config.rel_tol, atol=config.abs_tol,
-    )
+def _integrate(rhs, z0: np.ndarray, t_span) -> tuple[np.ndarray, np.ndarray]:
+    sol = solve_ivp(rhs, t_span, z0, method="RK45", rtol=RK45_TOL, atol=RK45_TOL)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     return sol.t, sol.y.T
 
 
-def _drive(generator, dynamics, omega0, state0, config: SimConfig | None):
+def _drive(generator, dynamics, omega0, state0, t_span):
     """Integrate omega' = s(omega) together with state' = dynamics(state, l(omega))."""
     d = generator.d
 
@@ -62,51 +55,43 @@ def _drive(generator, dynamics, omega0, state0, config: SimConfig | None):
         sl = generator.sl(z[:d])
         return np.concatenate([sl[:d], dynamics(z[d:], sl[d:])])
 
-    return _integrate(rhs, np.concatenate([omega0, state0], dtype=float), config or SimConfig())
+    return _integrate(rhs, np.concatenate([omega0, state0], dtype=float), t_span)
 
 
-def simulate_fom(problem: Problem, omega0, x0, config: SimConfig | None = None) -> Trajectory:
+def simulate_fom(problem: Problem, omega0, x0, t_span=T_SPAN) -> Trajectory:
     """Integrate the coupled generator/full-order system; outputs y = h(x)."""
-    times, states = _drive(problem.generator, problem.system.f, omega0, x0, config)
+    times, states = _drive(problem.generator, problem.system.f, omega0, x0, t_span)
     outputs = problem.system.h(states[:, problem.generator.d:])
     return Trajectory(times=times, states=states, outputs=outputs)
 
 
-def simulate_rom(
-    rom: ReducedOrderModel, generator, omega0, r0, config: SimConfig | None = None
-) -> Trajectory:
+def simulate_rom(rom: ReducedOrderModel, generator, omega0, r0, t_span=T_SPAN) -> Trajectory:
     """Integrate the coupled generator/reduced model; outputs y_r = h(pi^N(r))."""
-    times, states = _drive(generator, rom.dynamics, omega0, r0, config)
-    d = generator.d
-    domain = rom.pi_solution.domain if rom.pi_solution is not None else None
-    if domain is not None:
-        r_states = states[:, d:]
-        if np.any(r_states < domain.lo) or np.any(r_states > domain.hi):
-            warnings.warn(
-                "reduced state left the expansion domain; output values are extrapolated",
-                stacklevel=2,
-            )
-    outputs = rom.output(states[:, d:])
+    times, states = _drive(generator, rom.dynamics, omega0, r0, t_span)
+    r_states = states[:, generator.d:]
+    if np.any(r_states < rom.domain.lo) or np.any(r_states > rom.domain.hi):
+        warnings.warn(
+            "reduced state left the expansion domain; output values are extrapolated",
+            stacklevel=2,
+        )
+    outputs = rom.output(r_states)
     return Trajectory(times=times, states=states, outputs=outputs)
 
 
-def steady_state_rms(
-    y: Trajectory, y_r: Trajectory, config: SimConfig | None = None, npoints: int = 2000
-) -> dict:
+def steady_state_rms(y: Trajectory, y_r: Trajectory) -> dict:
     """RMS mismatch of the two scalar outputs over the trailing window.
 
-    Both outputs are resampled by linear interpolation on a uniform grid over
-    the final steady_window_fraction of the common time span; the amplitude
-    normalizer is half the peak-to-peak range of the first trajectory.
+    Both outputs are resampled by linear interpolation on 2000 uniform points
+    over the final STEADY_WINDOW fraction of the common time span; the
+    amplitude normalizer is half the peak-to-peak range of the first
+    trajectory.
     """
-    config = config or SimConfig()
     p = max(y.outputs.shape[1], y_r.outputs.shape[1])
     if p > 1:
         raise ValueError(f"steady_state_rms scores one output; the trajectories have p = {p}")
     t0 = max(y.times[0], y_r.times[0])
     t1 = min(y.times[-1], y_r.times[-1])
-    w0 = t1 - config.steady_window_fraction * (t1 - t0)
-    grid = np.linspace(w0, t1, npoints)
+    grid = np.linspace(t1 - STEADY_WINDOW * (t1 - t0), t1, 2000)
     yi = np.interp(grid, y.times, y.outputs[:, 0])
     yri = np.interp(grid, y_r.times, y_r.outputs[:, 0])
     amplitude = 0.5 * (yi.max() - yi.min())

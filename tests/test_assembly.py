@@ -131,7 +131,7 @@ def _exact_advection(generator, basis, domain):
     for k in range(basis.d):
         dE = E.copy()
         dE[:, k] = np.maximum(dE[:, k] - 1, 0)
-        for exps, coef in generator.s.tables[k].items():
+        for exps, coef in generator.sl.tables[k].items():
             sums = E[:, None, :] + (dE + np.array(exps))[None, :, :]
             A += coef * E[None, :, k] * _exact_integrals(domain, sums)
     return A

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 import yaml
 
+from mmrom.basis import basis_count
 from mmrom.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
-from mmrom.persist import read_coefficients
+from mmrom.persist import read_coefficients, write_coefficients
+from mmrom.quadrature import BoxDomain
 
 
 def write_yaml(tmp_path, cfg, name="run.yaml"):
@@ -114,6 +116,43 @@ def test_invalid_config_values_exit_code(tmp_path, capsys, text):
     path = tmp_path / "run.yaml"
     path.write_text(text)
     code = main(["--out", str(tmp_path / "out"), "--quiet", "solve", "--config", str(path)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def _coefficients_without_problem_line(tmp_path, n, d):
+    """A coefficient file for n states over d generator dimensions whose header
+    names no problem, so nothing but n and d ties it to a configuration."""
+    path = tmp_path / "coefficients.txt"
+    write_coefficients(path, np.ones(n * basis_count(d, 2)), n=n, d=d, M=2,
+                       domain=BoxDomain.cube(1.0, d=d), fingerprint="")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines if not line.startswith("# problem:")) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("update,command", [
+    ({"simulation": {"x0": [0.0, 0.0, 0.0]}}, ["rom"]),
+    ({"rom": {"gain": "constant", "G": [[1.0]]}}, ["rom"]),
+    ({"rom": {"gain": "constant", "G": [[1.0, 2.0]]}}, ["rom"]),
+    ({"simulation": {"omega0": [0.1]}}, ["rom"]),
+    ({"simulation": {"r0": [0.0, 1.0, 0.0]}}, ["rom"]),
+    ({"simulation": {"t_start": 5.0, "t_end": 5.0}}, ["rom"]),
+    ({"simulation": {"t_end": -1.0}}, ["rom"]),
+    ({"domain": {"lo": [-1.0, -1.0]}}, ["solve"]),
+    ({}, ["residual", "--subdomain", "0", "--coefficients", (2, 2)]),
+    ({}, ["residual", "--coefficients", (3, 2)]),
+    ({}, ["residual", "--coefficients", (2, 3)]),
+], ids=["x0_length", "G_broadcasts", "G_shape", "omega0_length", "r0_length", "t_end_equal",
+        "t_end_before", "domain_without_hi", "subdomain_zero", "coefficients_n", "coefficients_d"])
+def test_inconsistent_inputs_exit_code(tmp_path, ladder_config, capsys, update, command):
+    cfg, _ = ladder_config
+    cfg.update(update)
+    argv = [_coefficients_without_problem_line(tmp_path, *arg) if isinstance(arg, tuple) else arg
+            for arg in command]
+    cfg_path = write_yaml(tmp_path, cfg, name="bad.yaml")
+    code = main(["--out", str(tmp_path / "out"), "--quiet", *argv, "--config", cfg_path])
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")

@@ -8,7 +8,7 @@ from mmrom.config import (
     build_domain,
     build_gain,
     build_problem,
-    build_sim_config,
+    build_simulation,
     build_solver_options,
     dump_config,
     load_config,
@@ -43,6 +43,10 @@ def test_valid_config_passes():
     (lambda c: c.update({"quadrature": 12}), "quadrature"),
     (lambda c: c.update({"rom": {"mu": 0.5}}), "mu"),
     (lambda c: c.update({"rom": {"margin": 0.5}}), "margin"),
+    (lambda c: c.update({"simulation": {"abs_tol": 1e-9}}), "abs_tol"),
+    (lambda c: c.update({"simulation": {"rel_tol": 1e-9}}), "rel_tol"),
+    (lambda c: c.update({"simulation": {"steady_window_fraction": 0.4}}), "steady_window_fraction"),
+    (lambda c: c["domain"].pop("hi"), "hi"),
 ])
 def test_invalid_configs_rejected_with_field_name(mutate, fragment):
     cfg = base_config()
@@ -86,7 +90,7 @@ def test_build_problem_generic_tables():
     validate_config(cfg)
     prob = build_problem(cfg)
     assert prob.system.n == 1
-    assert np.allclose(prob.generator.s(np.array([0.5, 1.0])), [2.0, -1.0])
+    assert np.allclose(prob.generator.sl(np.array([0.5, 1.0])), [2.0, -1.0, 0.5])
 
 
 def test_build_domain_and_solver_and_sim():
@@ -97,10 +101,11 @@ def test_build_domain_and_solver_and_sim():
     assert np.allclose(dom.lo, [-1, -1])
     opts = build_solver_options(cfg)
     assert opts.max_iter == 50
-    sim, omega0, r0, x0 = build_sim_config(cfg)
-    assert sim.t_span == (0.0, 10.0)
+    t_span, omega0, r0, x0 = build_simulation(cfg, build_problem(cfg))
+    assert t_span == (0.0, 10.0)
     assert np.allclose(omega0, [0.2, 0.0])
     assert np.allclose(r0, [0.0, 1.0])  # default
+    assert np.array_equal(x0, [0.0, 0.0])
 
 
 def test_build_gain_variants():

@@ -127,8 +127,9 @@ class TestTest1:
                 (pi(w + h * np.eye(2)[j]) - pi(w - h * np.eye(2)[j])) / (2 * h)
                 for j in range(2)
             ])
-            lhs = dpi @ prob.generator.s(w)
-            rhs = prob.system.f(pi(w), prob.generator.l(w))
+            sl = prob.generator.sl(w)
+            lhs = dpi @ sl[:2]
+            rhs = prob.system.f(pi(w), sl[2:])
             assert np.allclose(lhs, rhs, atol=1e-8)
         assert np.allclose(pi(np.zeros(2)), 0.0)
 
@@ -161,11 +162,11 @@ class TestCartPendulum:
             make_cart_pendulum(k=0.0)  # requires k < -1/a2
 
     def test_generator_jacobians(self):
-        prob = make_cart_pendulum()
-        gen = prob.generator
-        w = np.array([0.4, -0.2])
-        assert np.allclose(gen.s_jacobian(w), _fd_jacobian(gen.s, w), rtol=1e-6, atol=1e-7)
-        assert np.allclose(gen.l_jacobian(w), _fd_jacobian(gen.l, w), rtol=1e-6, atol=1e-7)
+        gen = make_cart_pendulum().generator
+        for w in (np.array([0.4, -0.2]), np.zeros(2)):
+            J = gen.sl_jacobian(w)
+            assert J.shape == (gen.d + gen.m, gen.d)
+            assert np.allclose(J, _fd_jacobian(gen.sl, w), rtol=1e-6, atol=1e-7)
 
     def test_system_jacobians(self):
         prob = make_cart_pendulum()
@@ -195,8 +196,9 @@ class TestCartPendulum:
                 (pi(w + h * np.eye(2)[j]) - pi(w - h * np.eye(2)[j])) / (2 * h)
                 for j in range(2)
             ])
-            lhs = dpi @ prob.generator.s(w)
-            rhs = prob.system.f(pi(w), prob.generator.l(w))
+            sl = prob.generator.sl(w)
+            lhs = dpi @ sl[:2]
+            rhs = prob.system.f(pi(w), sl[2:])
             assert np.allclose(lhs, rhs, atol=1e-7)
 
 
@@ -268,24 +270,44 @@ class TestGenerators:
     def test_linear_oscillator_field(self):
         gen = make_linear_oscillator(2.0)
         w = np.array([0.5, -0.25])
-        assert np.allclose(gen.s(w), [-0.5, -1.0])
-        assert np.allclose(gen.l(w), [-0.25])
+        assert np.allclose(gen.sl(w), [-0.5, -1.0, -0.25])
 
     def test_van_der_pol_field(self):
         gen = make_van_der_pol(0.25)
         w = np.array([0.5, 2.0])
         # (w2, -w1 + mu (1 - w1^2) w2)
-        assert np.allclose(gen.s(w), [2.0, -0.5 + 0.25 * (1 - 0.25) * 2.0])
+        assert np.allclose(gen.sl(w), [2.0, -0.5 + 0.25 * (1 - 0.25) * 2.0, 2.0])
         with pytest.raises(ValueError):
             make_van_der_pol(0.0)
 
 
+def _separate_s_l(gen):
+    """s and l as two maps: PolyMaps over the s and the l tables of a table
+    generator, the expressions of the cart pendulum (default parameters)
+    otherwise."""
+    if isinstance(gen.sl, PolyMap):
+        return PolyMap(gen.sl.tables[:gen.d], gen.d), PolyMap(gen.sl.tables[gen.d:], gen.d)
+    a1, a2, k = 2.0, 3.0, -2.0 / 3.0
+
+    def s(omega):
+        w1, w2 = np.moveaxis(np.asarray(omega, dtype=float), -1, 0)
+        return np.stack([w2, a1 * np.sin(w1) / (1.0 + k * a2 * np.cos(w1))], axis=-1)
+
+    def l(omega):
+        w1 = np.asarray(omega, dtype=float)[..., 0]
+        return (k * a1 * np.sin(w1) / (1.0 + k * a2 * np.cos(w1)))[..., None]
+
+    return s, l
+
+
 @pytest.mark.parametrize("make", [make_test1, make_cart_pendulum, lambda: make_rl_vdp(2)])
 def test_fused_generator_call_stacks_s_and_l(make):
+    """sl is bit-identical to s and l evaluated apart, at one point and in batches."""
     gen = make().generator
-    W = np.random.default_rng(7).uniform(-0.8, 0.8, size=(4, gen.d))
-    for w in (W, W[0]):
-        assert np.array_equal(gen.sl(w), np.concatenate([gen.s(w), gen.l(w)], axis=-1))
+    s, l = _separate_s_l(gen)
+    W = np.random.default_rng(7).uniform(-0.8, 0.8, size=(2, 3, gen.d))
+    for w in (W, W[0], W[0, 0]):
+        assert np.array_equal(gen.sl(w), np.concatenate([s(w), l(w)], axis=-1))
 
 
 @pytest.mark.parametrize("make", [make_test1, make_cart_pendulum,
@@ -296,9 +318,9 @@ def test_batched_evaluation_matches_pointwise(make):
     rng = np.random.default_rng(6)
     W = rng.uniform(-0.8, 0.8, size=(2, 3, gen.d))
     X = rng.uniform(-0.8, 0.8, size=(2, 3, sys.n))
-    U = gen.l(W)
+    U = gen.sl(W)[..., gen.d:]
     assert U.shape == (2, 3, sys.m)
-    for name, fn, args in (("s", gen.s, (W,)), ("l", gen.l, (W,)),
+    for name, fn, args in (("sl", gen.sl, (W,)),
                            ("f", sys.f, (X, U)), ("f_jacobian_x", sys.f_jacobian_x, (X, U)),
                            ("h", sys.h, (X,))):
         batched = fn(*args)

@@ -33,7 +33,7 @@ def test_residual_at_hand_value():
     Cp = C.copy()
     Cp[0, 0] += delta
     R = residual_at(prob, basis, Cp, w)
-    s = prob.generator.s(w)
+    s = prob.generator.sl(w)[:2]
     # first component: extra delta * s_1 from the gradient term plus delta * w1
     # from f_1 = -x_1 + u
     assert np.isclose(R[0], delta * s[0] + delta * w[0], rtol=1e-12)

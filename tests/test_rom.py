@@ -85,8 +85,8 @@ class TestBuildRom:
         rom = build_rom(prob, sol, default_gain(prob))
         for r in ([0.2, -0.1], [0.5, 0.4]):
             r = np.asarray(r)
-            u = prob.generator.l(r)
-            assert np.allclose(rom.dynamics(r, u), prob.generator.s(r), rtol=1e-13)
+            sl = prob.generator.sl(r)
+            assert np.allclose(rom.dynamics(r, sl[2:]), sl[:2], rtol=1e-13)
 
     def test_output_matches_expansion(self):
         prob = make_rl_linear(2)

@@ -4,12 +4,15 @@ import pytest
 
 from mmrom.assembly import assemble_operators
 from mmrom.basis import generate_basis
+from mmrom.config import build_simulation
 from mmrom.newton import solve_invariance
 from mmrom.problems import make_rl_linear
 from mmrom.quadrature import BoxDomain
 from mmrom.rom import build_rom, default_gain
 from mmrom.simulate import (
-    SimConfig,
+    OMEGA0,
+    R0,
+    T_SPAN,
     Trajectory,
     _integrate,
     simulate_fom,
@@ -20,28 +23,22 @@ from mmrom.simulate import (
 
 class TestSimConfig:
     def test_defaults(self):
-        cfg = SimConfig()
-        assert cfg.t_span == (0.0, 50.0)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"abs_tol": 0.0},
-        {"steady_window_fraction": 1.5},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            SimConfig(**kwargs)
+        # A config without a simulation section runs the benchmark experiment.
+        prob = make_rl_linear(n=2, a=2.0, kappa=1.1)
+        t_span, omega0, r0, x0 = build_simulation({}, prob)
+        assert t_span == T_SPAN == (0.0, 50.0)
+        assert np.array_equal(omega0, OMEGA0) and np.array_equal(r0, R0)
+        assert np.array_equal(x0, np.zeros(prob.system.n))
 
 
 class TestIntegrators:
     def test_exponential_decay_adaptive(self):
-        cfg = SimConfig(t_span=(0.0, 1.0))
-        times, states = _integrate(lambda t, z: -z, np.array([1.0]), cfg)
+        times, states = _integrate(lambda t, z: -z, np.array([1.0]), (0.0, 1.0))
         assert abs(states[-1, 0] - np.exp(-1.0)) < 1e-8
 
     def test_energy_conservation_harmonic_oscillator(self):
-        cfg = SimConfig(t_span=(0.0, 20.0))
         rhs = lambda t, z: np.array([z[1], -z[0]])
-        _, states = _integrate(rhs, np.array([1.0, 0.0]), cfg)
+        _, states = _integrate(rhs, np.array([1.0, 0.0]), (0.0, 20.0))
         energy = 0.5 * (states[:, 0] ** 2 + states[:, 1] ** 2)
         assert np.max(np.abs(energy - energy[0])) < 1e-6
 
@@ -53,12 +50,14 @@ class TestEndToEnd:
         ops = assemble_operators(prob, basis, BoxDomain.cube(2.0, d=2))
         sol = solve_invariance(prob, ops)
         rom = build_rom(prob, sol, default_gain(prob))
-        cfg = SimConfig(t_span=(0.0, 50.0))
         omega0 = np.array([0.1, 0.2])
-        fom = simulate_fom(prob, omega0, np.zeros(2), cfg)
-        red = simulate_rom(rom, prob.generator, omega0, np.array([0.0, 1.0]), cfg)
+        fom = simulate_fom(prob, omega0, np.zeros(2))
+        red = simulate_rom(rom, prob.generator, omega0, np.array([0.0, 1.0]))
+        assert T_SPAN == (0.0, 50.0)  # the published experiment's span is the default
+        for traj in (fom, red):
+            assert (traj.times[0], traj.times[-1]) == T_SPAN
         assert fom.outputs.shape[1] == 1
-        metrics = steady_state_rms(fom, red, cfg)
+        metrics = steady_state_rms(fom, red)
         assert 0.0 < metrics["relative_rms"] < 0.05
         assert metrics["amplitude"] > 0
 
@@ -68,10 +67,9 @@ class TestEndToEnd:
         ops = assemble_operators(prob, basis, BoxDomain.cube(0.5, d=2))
         sol = solve_invariance(prob, ops)
         rom = build_rom(prob, sol, default_gain(prob))
-        cfg = SimConfig(t_span=(0.0, 5.0))
         with pytest.warns(UserWarning):
             simulate_rom(rom, prob.generator, np.array([0.1, 0.2]),
-                         np.array([0.0, 1.0]), cfg)
+                         np.array([0.0, 1.0]), (0.0, 5.0))
 
 
 class TestSteadyStateRms:
@@ -81,34 +79,30 @@ class TestSteadyStateRms:
         return Trajectory(times=t, states=y, outputs=y)
 
     def test_constant_offset(self):
-        cfg = SimConfig()
         fom = self._traj(np.sin)
         rom = self._traj(lambda t: np.sin(t) + 0.01)
-        metrics = steady_state_rms(fom, rom, cfg)
+        metrics = steady_state_rms(fom, rom)
         assert np.isclose(metrics["rms_error"], 0.01, rtol=1e-6)
         assert np.isclose(metrics["amplitude"], 1.0, rtol=1e-3)
         assert np.isclose(metrics["relative_rms"], 0.01, rtol=1e-3)
 
     def test_identical_signals_give_zero(self):
-        cfg = SimConfig()
         fom = self._traj(np.cos)
-        metrics = steady_state_rms(fom, self._traj(np.cos), cfg)
+        metrics = steady_state_rms(fom, self._traj(np.cos))
         assert metrics["rms_error"] < 1e-14
 
     def test_degenerate_amplitude_rejected(self):
-        cfg = SimConfig()
         flat = self._traj(lambda t: np.zeros_like(t))
         with pytest.raises(ValueError):
-            steady_state_rms(flat, flat, cfg)
+            steady_state_rms(flat, flat)
 
     def test_more_than_one_output_rejected(self):
-        cfg = SimConfig()
         scalar = self._traj(np.sin)
         t = scalar.times
         pair = Trajectory(times=t, states=scalar.states, outputs=np.column_stack([np.sin(t), np.cos(t)]))
         for y, y_r in ((pair, scalar), (scalar, pair)):
             with pytest.raises(ValueError, match="p = 2"):
-                steady_state_rms(y, y_r, cfg)
+                steady_state_rms(y, y_r)
 
     def test_csv_export(self, tmp_path):
         traj = self._traj(np.sin, t_end=1.0, npts=11)
