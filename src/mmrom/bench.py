@@ -3,6 +3,7 @@ published reference values."""
 from __future__ import annotations
 
 import csv
+import functools
 import time
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ from .problems import Problem, make_cart_pendulum, make_rl_linear, make_rl_vdp, 
 from .quadrature import BoxDomain
 from .residuals import residual_norm
 from .rom import default_gain, build_rom
-from .simulate import OMEGA0, R0, simulate_fom, simulate_rom, steady_state_rms
+from .simulate import OMEGA0, R0, Trajectory, simulate_fom, simulate_rom, steady_state_rms
 
 HALF_WIDTHS = (1.0, 2.0, 3.0)
 DEGREES = (2, 4, 6)
@@ -233,6 +234,16 @@ def run_residual_cell(spec: dict, half_width: float, M: int) -> CellResult:
     )
 
 
+@functools.cache
+def _reference_trajectory(name: str, n: int) -> Trajectory:
+    """The full-order run that each ROM cell of a problem is scored against; it does
+    not depend on (hw, M), so a process integrates it once and shares it read-only."""
+    fom = simulate_fom(make_benchmark_problem(name, n), omega0=OMEGA0, x0=np.zeros(n))
+    for array in (fom.times, fom.states, fom.outputs):
+        array.setflags(write=False)
+    return fom
+
+
 def run_rom_cell(spec: dict, half_width: float, M: int) -> CellResult:
     problem = make_benchmark_problem(spec["problem"], spec["n"])
     solution, seconds = solve_benchmark(problem, half_width, M)
@@ -240,7 +251,7 @@ def run_rom_cell(spec: dict, half_width: float, M: int) -> CellResult:
     value = None
     if solution.converged:
         rom = build_rom(problem, solution, default_gain(problem))
-        fom = simulate_fom(problem, omega0=OMEGA0, x0=np.zeros(problem.system.n))
+        fom = _reference_trajectory(spec["problem"], spec["n"])
         red = simulate_rom(rom, problem.generator, omega0=OMEGA0, r0=R0)
         value = steady_state_rms(fom, red)["relative_rms"]
     return CellResult(

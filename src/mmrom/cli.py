@@ -40,7 +40,8 @@ def _say(args, *msg):
 
 def _fingerprint(cfg) -> str:
     prob = cfg["problem"]
-    return problem_fingerprint(prob["name"], prob.get("params", {}) or {})
+    params = prob["generic"] if prob["name"] == "generic" else prob.get("params", {}) or {}
+    return problem_fingerprint(prob["name"], params)
 
 
 def _solve_from_config(cfg, problem):

@@ -32,6 +32,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray   # (T, nstates)
     outputs: np.ndarray  # (T, p)
+    outside_domain: int = 0  # stored reduced states outside the ROM's expansion domain
 
     def to_csv(self, path, label: str = "y"):
         p = self.outputs.shape[1]
@@ -69,13 +70,14 @@ def simulate_rom(rom: ReducedOrderModel, generator, omega0, r0, t_span=T_SPAN) -
     """Integrate the coupled generator/reduced model; outputs y_r = h(pi^N(r))."""
     times, states = _drive(generator, rom.dynamics, omega0, r0, t_span)
     r_states = states[:, generator.d:]
-    if np.any(r_states < rom.domain.lo) or np.any(r_states > rom.domain.hi):
-        warnings.warn(
-            "reduced state left the expansion domain; output values are extrapolated",
-            stacklevel=2,
-        )
+    outside = int(np.count_nonzero(
+        np.any((r_states < rom.domain.lo) | (r_states > rom.domain.hi), axis=1)))
+    if outside:
+        warnings.warn(f"reduced state left the expansion domain at {outside} of {len(times)} "
+                      f"stored states (largest |r_i| = {np.abs(r_states).max():.3g}); "
+                      "output values are extrapolated", stacklevel=2)
     outputs = rom.output(r_states)
-    return Trajectory(times=times, states=states, outputs=outputs)
+    return Trajectory(times=times, states=states, outputs=outputs, outside_domain=outside)
 
 
 def steady_state_rms(y: Trajectory, y_r: Trajectory) -> dict:

@@ -9,10 +9,15 @@ from mmrom.bench import (
     REFERENCE_TABLES,
     TABLE_IDS,
     _check_cell,
+    make_benchmark_problem,
     reproduce_table,
     run_residual_cell,
+    run_rom_cell,
+    solve_benchmark,
     write_results_csv,
 )
+from mmrom.rom import build_rom, default_gain
+from mmrom.simulate import OMEGA0, R0, simulate_fom, simulate_rom, steady_state_rms
 
 
 def test_reference_tables_well_formed():
@@ -74,3 +79,78 @@ def test_write_results_csv(tmp_path):
     rows = path.read_text().splitlines()
     assert rows[0] == "domain,M,n,value,reference,pass"
     assert len(rows) == 1 + len(results)
+
+
+@pytest.fixture
+def fresh_reference():
+    """An empty full-order cache, so that no test sees another test's run."""
+    bench._reference_trajectory.cache_clear()
+    yield bench._reference_trajectory
+    bench._reference_trajectory.cache_clear()
+
+
+def _fresh_fom(spec):
+    problem = make_benchmark_problem(spec["problem"], spec["n"])
+    return simulate_fom(problem, omega0=OMEGA0, x0=np.zeros(spec["n"]))
+
+
+def test_rom_cell_scores_against_fresh_full_order_run(fresh_reference):
+    spec = REFERENCE_TABLES["T3-rom-n2"]
+    problem = make_benchmark_problem(spec["problem"], spec["n"])
+    solution, _ = solve_benchmark(problem, 1.0, 6)
+    rom = build_rom(problem, solution, default_gain(problem))
+    red = simulate_rom(rom, problem.generator, omega0=OMEGA0, r0=R0)
+    expected = steady_state_rms(_fresh_fom(spec), red)["relative_rms"]
+    first = run_rom_cell(spec, 1.0, 6)   # integrates the full-order model
+    second = run_rom_cell(spec, 1.0, 6)  # reads it from the cache
+    assert first.value == second.value == expected
+    assert fresh_reference.cache_info().misses == 1
+
+
+def test_reference_trajectory_per_problem(fresh_reference):
+    runs = {}
+    for table_id in ("T3-rom-n2", "T4-rom-n2"):
+        spec = REFERENCE_TABLES[table_id]
+        runs[table_id] = fresh_reference(spec["problem"], spec["n"])
+        fresh = _fresh_fom(spec)
+        for field in ("times", "states", "outputs"):
+            assert np.array_equal(getattr(runs[table_id], field), getattr(fresh, field))
+        assert fresh_reference(spec["problem"], spec["n"]) is runs[table_id]
+    linear, vdp = runs["T3-rom-n2"].outputs, runs["T4-rom-n2"].outputs
+    assert linear.shape != vdp.shape or not np.array_equal(linear, vdp)
+
+
+def test_reference_trajectory_is_read_only(fresh_reference):
+    fom = fresh_reference("rl_linear", 2)
+    for array in (fom.times, fom.states, fom.outputs):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def _count_full_order_runs(monkeypatch, fom):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fom(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "simulate_fom", counted)
+    return calls
+
+
+def test_reproduce_integrates_full_order_model_once(fresh_reference, monkeypatch):
+    calls = _count_full_order_runs(monkeypatch, simulate_fom)
+    results = reproduce_table("T3-rom-n2")
+    assert len(calls) == 1
+    assert len(results) == 9 and all(r.passed and r.error is None for r in results)
+
+
+def test_failed_full_order_run_is_not_cached(fresh_reference, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("integration failed: step size too small")
+
+    calls = _count_full_order_runs(monkeypatch, broken)
+    results = reproduce_table("T3-rom-n2")
+    assert len(calls) == len(results) == 9  # every cell retries, and records its own cause
+    assert all(r.error == "RuntimeError: integration failed: step size too small"
+               for r in results)

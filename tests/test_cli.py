@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from mmrom.basis import basis_count
-from mmrom.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
+from mmrom.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, _fingerprint, main
 from mmrom.persist import read_coefficients, write_coefficients
 from mmrom.quadrature import BoxDomain
 
@@ -64,6 +64,43 @@ def test_residual_fingerprint_mismatch(tmp_path, ladder_config):
         "--config", other_path, "--coefficients", str(out / "coefficients.txt"),
     ])
     assert code == EXIT_CONFIG_ERROR
+
+
+def _generic_config(a, b):
+    """omega' = (omega_2, -omega_1), u = omega_2, f = a x + b u, y = x."""
+    return {
+        "problem": {"name": "generic", "generic": {
+            "d": 2, "n": 1, "m": 1, "p": 1,
+            "s": [[[[0, 1], 1.0]], [[[1, 0], -1.0]]],
+            "l": [[[[0, 1], 1.0]]],
+            "f": [[[[1, 0], a], [[0, 1], b]]],
+            "h": [[[[1], 1.0]]],
+        }},
+        "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        "degree": 2,
+    }
+
+
+def test_residual_fingerprint_tells_generic_problems_apart(tmp_path, capsys):
+    solved_path = write_yaml(tmp_path, _generic_config(-1.0, 1.0), name="solved.yaml")
+    other_path = write_yaml(tmp_path, _generic_config(-3.0, 5.0), name="other.yaml")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--quiet", "solve", "--config", solved_path]) == EXIT_OK
+    coeffs = str(out / "coefficients.txt")
+    assert main(["--out", str(out), "--quiet", "residual",
+                 "--config", solved_path, "--coefficients", coeffs]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["--out", str(out), "--quiet", "residual",
+                 "--config", other_path, "--coefficients", coeffs])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_builtin_fingerprint_unchanged(ladder_config):
+    # coefficient files written by earlier versions carry this line and must still load
+    cfg, _ = ladder_config
+    assert _fingerprint(cfg) == "rl_linear:238817095c6c"
 
 
 def test_residual_malformed_coefficients_exit_code(tmp_path, ladder_config, capsys):

@@ -1,9 +1,12 @@
 """Tests for time integration and steady-state error metrics."""
+import warnings
+
 import numpy as np
 import pytest
 
 from mmrom.assembly import assemble_operators
 from mmrom.basis import generate_basis
+from mmrom.bench import make_benchmark_problem, solve_benchmark
 from mmrom.config import build_simulation
 from mmrom.newton import solve_invariance
 from mmrom.problems import make_rl_linear
@@ -70,6 +73,35 @@ class TestEndToEnd:
         with pytest.warns(UserWarning):
             simulate_rom(rom, prob.generator, np.array([0.1, 0.2]),
                          np.array([0.0, 1.0]), (0.0, 5.0))
+
+
+def _benchmark_rom_run(name, half_width, M):
+    """The reduced run of one n=2 ROM-table cell."""
+    prob = make_benchmark_problem(name, 2)
+    sol, _ = solve_benchmark(prob, half_width, M)
+    rom = build_rom(prob, sol, default_gain(prob))
+    return simulate_rom(rom, prob.generator, OMEGA0, R0)
+
+
+class TestDomainExcursions:
+    def test_van_der_pol_cell_counts_states_outside_its_box(self):
+        # T4-rom-n2 hw=1 M=6: the reduced state follows the limit cycle past |r_i| = 1
+        with pytest.warns(UserWarning, match="left the expansion domain") as record:
+            red = _benchmark_rom_run("rl_vdp", 1.0, 6)
+        r = red.states[:, 2:]
+        outside = np.count_nonzero(np.abs(r).max(axis=1) > 1.0)
+        assert 0 < red.outside_domain == outside < len(red.times)
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert f"at {outside} of {len(red.times)} stored states" in message
+        assert f"largest |r_i| = {np.abs(r).max():.3g}" in message
+
+    def test_linear_cell_stays_inside_its_box(self):
+        # T3-rom-n2 hw=1 M=6: the reduced state stays on the unit circle it starts on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            red = _benchmark_rom_run("rl_linear", 1.0, 6)
+        assert red.outside_domain == 0
 
 
 class TestSteadyStateRms:
