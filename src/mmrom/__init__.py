@@ -1,6 +1,6 @@
 """Galerkin approximation of invariance PDEs and moment-matching ROMs."""
 
-from .basis import Basis, basis_count, eval_basis, eval_basis_gradient, eval_expansion, generate_basis
+from .basis import Basis, basis_count, eval_basis, eval_basis_gradient, generate_basis
 from .quadrature import BoxDomain, QuadratureRule, gauss_legendre_1d, monomial_integral_exact, tensor_rule
 from .problems import (
     FullOrderSystem,

@@ -116,13 +116,3 @@ def eval_basis_gradient(basis: Basis, omega) -> np.ndarray:
             col = col * tables[basis.exponents[:, i], :, i].T
         grad[:, :, j] = col
     return grad[0] if single else grad
-
-
-def eval_expansion(basis: Basis, coeffs, omega) -> float | np.ndarray:
-    """Evaluate sum_k c_k * phi_k(omega)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[-1] != basis.size:
-        raise ValueError(
-            f"coefficient vector has length {coeffs.shape[-1]}, basis has N={basis.size}"
-        )
-    return eval_basis(basis, omega) @ coeffs

@@ -202,6 +202,7 @@ class CellResult:
     converged: bool
     seconds: float
     error: str | None = None  # "Type: message" of the exception that ended the cell
+    outside_domain: int = 0   # stored reduced states outside the expansion domain (ROM cells)
 
 
 def _reference(spec: dict, half_width: float, M: int) -> float | None:
@@ -248,16 +249,16 @@ def run_rom_cell(spec: dict, half_width: float, M: int) -> CellResult:
     problem = make_benchmark_problem(spec["problem"], spec["n"])
     solution, seconds = solve_benchmark(problem, half_width, M)
     ref = _reference(spec, half_width, M)
-    value = None
+    value, outside = None, 0
     if solution.converged:
         rom = build_rom(problem, solution, default_gain(problem))
         fom = _reference_trajectory(spec["problem"], spec["n"])
         red = simulate_rom(rom, problem.generator, omega0=OMEGA0, r0=R0)
-        value = steady_state_rms(fom, red)["relative_rms"]
+        value, outside = steady_state_rms(fom, red)["relative_rms"], red.outside_domain
     return CellResult(
         half_width=half_width, M=M, n=spec["n"], value=value, reference=ref,
         passed=_check_cell(value, ref, solution.converged, spec["criterion"]),
-        converged=solution.converged, seconds=seconds,
+        converged=solution.converged, seconds=seconds, outside_domain=outside,
     )
 
 

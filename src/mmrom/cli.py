@@ -19,10 +19,11 @@ from .config import (
     build_simulation,
     build_solver_options,
     load_config,
+    _tables_from_config,
 )
 from .newton import solve_invariance
 from .persist import problem_fingerprint, read_coefficients, write_coefficients
-from .problems import check_assumptions, linearize
+from .problems import check_assumptions
 from .quadrature import BoxDomain
 from .residuals import residual_norm
 from .rom import build_rom
@@ -39,9 +40,15 @@ def _say(args, *msg):
 
 
 def _fingerprint(cfg) -> str:
+    """A built-in problem by its params; a generic one by its dimensions and
+    its tables as parsed, terms sorted, so -1 and -1.0 or a reordering agree."""
     prob = cfg["problem"]
-    params = prob["generic"] if prob["name"] == "generic" else prob.get("params", {}) or {}
-    return problem_fingerprint(prob["name"], params)
+    if prob["name"] != "generic":
+        return problem_fingerprint(prob["name"], prob.get("params", {}) or {})
+    g = prob["generic"]
+    params = {key: int(g[key]) for key in "dnmp"}
+    params.update({key: [sorted(t.items()) for t in _tables_from_config(g[key])] for key in "slfh"})
+    return problem_fingerprint("generic", params)
 
 
 def _solve_from_config(cfg, problem):
@@ -91,9 +98,9 @@ def cmd_residual(args) -> int:
         raise ConfigError(f"{args.coefficients}: missing header field {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{args.coefficients}: {exc}") from exc
+    problem = build_problem(cfg)
     if data["fingerprint"] and data["fingerprint"] != _fingerprint(cfg):
         raise ConfigError("coefficient file fingerprint does not match the configured problem")
-    problem = build_problem(cfg)
     if (data["n"], data["d"]) != (problem.system.n, problem.generator.d):
         raise ConfigError(f"{args.coefficients}: n = {data['n']}, d = {data['d']} do not match "
                           f"the configured n = {problem.system.n}, d = {problem.generator.d}")
@@ -166,18 +173,17 @@ def cmd_reproduce(args) -> int:
         if r.error is not None:
             val = f"error ({r.error})"
         ref = "-" if r.reference is None else f"{r.reference:.4e}"
+        outside = f"  outside_domain={r.outside_domain}" if r.outside_domain else ""
         _say(args, f"  domain [-{r.half_width:g},{r.half_width:g}]^2  M={r.M}  n={r.n}  "
                    f"value={val}  reference={ref}  "
-                   f"{'pass' if r.passed else 'FAIL'}")
+                   f"{'pass' if r.passed else 'FAIL'}{outside}")
     _say(args, f"wrote {path}")
     return EXIT_OK if all_pass else EXIT_NOT_CONVERGED
 
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    problem = build_problem(cfg)
-    S, L, A_sys, _ = linearize(problem)
-    report = check_assumptions(problem)
+    report = check_assumptions(build_problem(cfg))
     det = report["details"]
     _say(args, "generator eigenvalues:", np.round(det["generator_eigenvalues"], 6))
     _say(args, "system eigenvalues (extremes):",

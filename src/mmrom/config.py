@@ -103,10 +103,6 @@ def load_config(path) -> dict:
     return validate_config(cfg)
 
 
-def dump_config(cfg: dict) -> str:
-    return yaml.safe_dump(cfg, sort_keys=True)
-
-
 def _tables_from_config(raw):
     # per component: list of [exponent-list, coefficient] pairs
     tables = []
@@ -172,24 +168,20 @@ def build_simulation(cfg: dict, problem: Problem):
 
 
 def build_gain(cfg: dict, problem: Problem) -> GainSpec:
+    """``auto``: default_gain with the chain constant ``c``; ``constant``: the
+    (d, m) matrix ``G``."""
     raw = cfg.get("rom", {}) or {}
     kind = raw.get("gain", "auto")
+    if kind not in ("auto", "constant"):
+        raise ConfigError(f"rom.gain: unknown kind {kind!r}; expected auto or constant")
     if kind == "constant" and "G" not in raw:
         raise ConfigError("rom.G: required for constant gain")
-    if kind == "chain_vdp" and "mu" not in problem.params:
-        raise ConfigError("rom.gain: chain_vdp needs a problem with parameter mu")
     with _section("rom"):
         c = float(raw.get("c", 10.0))
         if kind == "auto":
             return default_gain(problem, c=c)
-        if kind == "constant":
-            G = np.asarray(raw["G"], dtype=float)
-            shape = (problem.generator.d, problem.generator.m)
-            if G.shape != shape:
-                raise ValueError(f"G needs shape {shape}, got {G.shape}")
-            return GainSpec(kind="constant", G=G)
-        if kind == "chain_linear":
-            return GainSpec(kind="chain_linear", c=c)
-        if kind == "chain_vdp":
-            return GainSpec(kind="chain_vdp", c=c, mu=problem.params["mu"])
-    raise ConfigError(f"rom.gain: unknown kind {kind!r}")
+        G = np.asarray(raw["G"], dtype=float)
+        shape = (problem.generator.d, problem.generator.m)
+        if G.shape != shape:
+            raise ValueError(f"G needs shape {shape}, got {G.shape}")
+        return GainSpec(kind="constant", G=G)

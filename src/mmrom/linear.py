@@ -60,13 +60,6 @@ class BlockTridiagonal:
         out[idx[:-1], :, idx[1:], :] = self.sup
         return out.reshape(n * N, n * N)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        xb = x.reshape(self.nblocks, self.block_size)
-        out = np.einsum("iab,ib->ia", self.diag, xb)
-        out[1:] += np.einsum("iab,ib->ia", self.sub, xb[:-1])
-        out[:-1] += np.einsum("iab,ib->ia", self.sup, xb[1:])
-        return out.ravel()
-
 
 def solve_dense_lu(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """LU solve; raises SingularMatrixError if a pivot is below PIVOT_RTOL * max pivot."""

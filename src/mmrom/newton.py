@@ -107,19 +107,19 @@ def solve_invariance(
     )
 
 
-def solve_sylvester(S: np.ndarray, L: np.ndarray, A_sys: np.ndarray, B_sys: np.ndarray) -> np.ndarray:
+def solve_sylvester(S: np.ndarray, L: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve Pi S = A Pi + B L for the invariant mapping of a linear problem.
 
     Solved as the vectorized nd x nd linear system; raises if the spectra of
-    S and A_sys overlap (singular system).
+    S and A overlap (singular system).
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
-    A_sys = np.atleast_2d(np.asarray(A_sys, dtype=float))
+    A = np.atleast_2d(np.asarray(A, dtype=float))
     L = np.atleast_2d(np.asarray(L, dtype=float))
-    B_sys = np.atleast_2d(np.asarray(B_sys, dtype=float))
-    n, d = A_sys.shape[0], S.shape[0]
-    lhs = np.kron(S.T, np.eye(n)) - np.kron(np.eye(d), A_sys)
-    rhs = (B_sys @ L).reshape(n * d, order="F")
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    n, d = A.shape[0], S.shape[0]
+    lhs = np.kron(S.T, np.eye(n)) - np.kron(np.eye(d), A)
+    rhs = (B @ L).reshape(n * d, order="F")
     try:
         vec = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:

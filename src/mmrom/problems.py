@@ -105,9 +105,8 @@ class FullOrderSystem:
 
     ``jacobian_pattern`` is the pair (rows, cols) of integer arrays naming
     the structural nonzeros of df/dx; ``f_jacobian_x(x, u)`` returns the
-    values on them, shape (..., len(rows)).  ``f_jacobian_u`` is the dense
-    (n, m) Jacobian at one point.  ``degree`` is the polynomial degree of f
-    in (x, u), or None when f is not polynomial.
+    values on them, shape (..., len(rows)).  ``degree`` is the polynomial
+    degree of f in (x, u), or None when f is not polynomial.
     """
 
     n: int
@@ -116,7 +115,6 @@ class FullOrderSystem:
     f: callable
     h: callable
     f_jacobian_x: callable
-    f_jacobian_u: callable
     jacobian_pattern: tuple
     degree: int | None = None
 
@@ -166,14 +164,10 @@ def system_from_tables(n: int, m: int, p: int, f_tables, h_tables) -> FullOrderS
     def f_jacobian_x(x, u):
         return f_map.partials(xu(x, u), rows, cols)
 
-    def f_jacobian_u(x, u):
-        return f_map.jacobian(xu(x, u))[..., n:]
-
     return FullOrderSystem(
         n=n, m=m, p=p,
         f=f, h=h_map,
-        f_jacobian_x=f_jacobian_x, f_jacobian_u=f_jacobian_u,
-        jacobian_pattern=(rows, cols), degree=f_map.max_degree(),
+        f_jacobian_x=f_jacobian_x, jacobian_pattern=(rows, cols), degree=f_map.max_degree(),
     )
 
 
@@ -200,21 +194,6 @@ def make_test1(a: float = 2.0) -> Problem:
         h_tables=[{(1, 0): 1.0}],
     )
     return Problem(generator=gen, system=sys, params={"a": a})
-
-
-def test1_exact_pi(a: float):
-    """Closed-form invariant mapping for make_test1."""
-    c1 = 1.0 / (1.0 + a * a)
-    c2 = 1.0 / (1.0 + 5 * a * a + 4 * a ** 4)
-
-    def pi(omega):
-        w1, w2 = omega
-        return np.array([
-            c1 * (w1 - a * w2),
-            c2 * ((1 + a * a) * w1 ** 2 - 3 * a * w1 * w2 + 3 * a * a * w2 ** 2),
-        ])
-
-    return pi
 
 
 def test1_exact_coefficients(basis, a: float) -> np.ndarray:
@@ -263,9 +242,6 @@ def make_cart_pendulum(a1: float = 2.0, a2: float = 3.0, k: float = -2.0 / 3.0) 
         d20 = a1 * np.cos(x0) + a2 * np.sin(x0) * u0
         return np.stack([np.ones_like(d20), np.ones_like(d20), d20], axis=-1)
 
-    def f_jacobian_u(x, u):
-        return np.array([[0.0], [0.0], [-a2 * np.cos(x[0])], [1.0]])
-
     gen = SignalGenerator(d=2, m=1, sl=sl, sl_jacobian=sl_jacobian)
 
     def h(x):
@@ -274,8 +250,7 @@ def make_cart_pendulum(a1: float = 2.0, a2: float = 3.0, k: float = -2.0 / 3.0) 
     sys = FullOrderSystem(
         n=4, m=1, p=1,
         f=f, h=h,
-        f_jacobian_x=f_jacobian_x, f_jacobian_u=f_jacobian_u,
-        jacobian_pattern=(np.array([0, 1, 2]), np.array([2, 3, 0])),
+        f_jacobian_x=f_jacobian_x, jacobian_pattern=(np.array([0, 1, 2]), np.array([2, 3, 0])),
     )
     return Problem(generator=gen, system=sys, params={"a1": a1, "a2": a2, "k": k})
 
@@ -321,17 +296,13 @@ def make_rl_ladder(n: int, kappa: float = 1.1) -> FullOrderSystem:
         vals[..., :n] -= x + x * x
         return vals
 
-    def f_jacobian_u(x, u):
-        return np.eye(n, 1)
-
     def h(x):
         return np.asarray(x, dtype=float)[..., :1]
 
     return FullOrderSystem(
         n=n, m=1, p=1,
         f=f, h=h,
-        f_jacobian_x=f_jacobian_x, f_jacobian_u=f_jacobian_u,
-        jacobian_pattern=(rows, cols), degree=3,
+        f_jacobian_x=f_jacobian_x, jacobian_pattern=(rows, cols), degree=3,
     )
 
 
@@ -362,7 +333,7 @@ def make_van_der_pol(mu: float = 0.25) -> SignalGenerator:
 
 def make_rl_linear(n: int = 2, a: float = 2.0, kappa: float = 1.1) -> Problem:
     """RL ladder driven by the harmonic oscillator generator; its reduced
-    models use the 'chain_linear' gain."""
+    models use the constant chain gain (0, c)."""
     return Problem(
         generator=make_linear_oscillator(a),
         system=make_rl_ladder(n, kappa),
@@ -372,7 +343,7 @@ def make_rl_linear(n: int = 2, a: float = 2.0, kappa: float = 1.1) -> Problem:
 
 def make_rl_vdp(n: int = 2, mu: float = 0.25, kappa: float = 1.1) -> Problem:
     """RL ladder driven by the Van der Pol generator; its reduced models use
-    the 'chain_vdp' gain."""
+    the state-dependent chain gain (0, mu (1 - r_1^2) + c)."""
     return Problem(
         generator=make_van_der_pol(mu),
         system=make_rl_ladder(n, kappa),
@@ -389,20 +360,19 @@ SPECTRUM_TOL = 1e-9
 
 
 def linearize(problem: Problem):
-    """Jacobians (S, L, A_sys, B_sys) of the problem data at the origin."""
+    """Jacobians (S, L, A_sys) of the problem data at the origin."""
     gen, sys = problem.generator, problem.system
     J = np.asarray(gen.sl_jacobian(np.zeros(gen.d)), dtype=float)
     x0, u0 = np.zeros(sys.n), np.zeros(sys.m)
     A_sys = np.zeros((sys.n, sys.n))
     A_sys[sys.jacobian_pattern] = sys.f_jacobian_x(x0, u0)
-    B_sys = np.asarray(sys.f_jacobian_u(x0, u0), dtype=float).reshape(sys.n, sys.m)
-    return J[:gen.d], J[gen.d:], A_sys, B_sys
+    return J[:gen.d], J[gen.d:], A_sys
 
 
 def check_assumptions(problem: Problem) -> dict:
     """Advisory report on generator neutral stability (necessary condition)
     and first-approximation stability of the system."""
-    S, _, A_sys, _ = linearize(problem)
+    S, _, A_sys = linearize(problem)
     s_eigs = np.linalg.eigvals(S)
     a_eigs = np.linalg.eigvals(A_sys)
     purely_imaginary = bool(np.all(np.abs(s_eigs.real) < SPECTRUM_TOL))

@@ -33,10 +33,6 @@ class BoxDomain:
     def d(self) -> int:
         return self.lo.shape[0]
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
     @classmethod
     def cube(cls, half_width: float, d: int = 2) -> "BoxDomain":
         return cls(lo=-half_width * np.ones(d), hi=half_width * np.ones(d))

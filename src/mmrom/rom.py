@@ -13,6 +13,8 @@ from .quadrature import BoxDomain
 
 # Central-difference step of verify_rom_stability.
 FD_STEP = 1e-6
+# stabilizing_gain places the reduced poles at -GAIN_MARGIN - 0.5 k, k = 0, ..., d - 1.
+GAIN_MARGIN = 0.5
 
 
 class UnstableGainError(RuntimeError):
@@ -27,8 +29,8 @@ class NotDetectableError(RuntimeError):
 class GainSpec:
     """Output-injection gain for the reduced dynamics.
 
-    kind 'constant' uses a fixed d x m matrix G; 'chain_linear' uses (0, c);
-    'chain_vdp' uses (0, mu*(1 - r_1^2) + c), matching the ladder benchmarks.
+    kind 'constant' uses a fixed d x m matrix G; 'chain_vdp' uses the
+    state-dependent (0, mu*(1 - r_1^2) + c) of the Van der Pol ladder benchmark.
     """
 
     kind: str
@@ -39,8 +41,6 @@ class GainSpec:
     def matrix(self, r: np.ndarray) -> np.ndarray:
         if self.kind == "constant":
             return self.G
-        if self.kind == "chain_linear":
-            return np.array([[0.0], [self.c]])
         if self.kind == "chain_vdp":
             return np.array([[0.0], [self.mu * (1.0 - r[0] ** 2) + self.c]])
         raise ValueError(f"unknown gain kind {self.kind!r}")
@@ -83,8 +83,8 @@ def build_rom(problem: Problem, solution: Solution, gain: GainSpec) -> ReducedOr
     return rom
 
 
-def stabilizing_gain(S: np.ndarray, L: np.ndarray, target_margin: float = 0.5) -> np.ndarray:
-    """Find G with max Re eig(S - G L) <= -target_margin by pole relocation.
+def stabilizing_gain(S: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Find G with max Re eig(S - G L) <= -GAIN_MARGIN by pole relocation.
 
     Works through the dual pair (S^T, L^T); raises NotDetectableError when
     unstable or marginal modes are unobservable.
@@ -92,17 +92,15 @@ def stabilizing_gain(S: np.ndarray, L: np.ndarray, target_margin: float = 0.5) -
     S = np.atleast_2d(np.asarray(S, dtype=float))
     L = np.atleast_2d(np.asarray(L, dtype=float))
     d = S.shape[0]
-    poles = np.array([-target_margin - 0.5 * k for k in range(d)])
+    poles = np.array([-GAIN_MARGIN - 0.5 * k for k in range(d)])
     try:
         placed = scipy.signal.place_poles(S.T, L.T, poles)
     except ValueError as exc:
         raise NotDetectableError(f"pole placement failed: {exc}") from exc
     G = placed.gain_matrix.T
     eigs = np.linalg.eigvals(S - G @ L)
-    if np.max(eigs.real) > -target_margin + 1e-8:
-        raise NotDetectableError(
-            f"could not reach margin {target_margin}; eigenvalues {eigs}"
-        )
+    if np.max(eigs.real) > -GAIN_MARGIN + 1e-8:
+        raise NotDetectableError(f"could not reach margin {GAIN_MARGIN}; eigenvalues {eigs}")
     return G
 
 
@@ -125,12 +123,13 @@ def verify_rom_stability(rom: ReducedOrderModel, problem: Problem) -> dict:
 
 
 def default_gain(problem: Problem, c: float = 10.0) -> GainSpec:
-    """Benchmark-appropriate gain: the hand-crafted kind a ladder problem
-    records in params["gain"], a pole-relocated constant matrix otherwise."""
+    """Benchmark-appropriate gain: on a ladder problem the chain gain that its
+    params["gain"] names, the constant (0, c) or the Van der Pol
+    (0, mu (1 - r_1^2) + c); a pole-relocated constant matrix otherwise."""
     kind = problem.params.get("gain")
     if kind == "chain_vdp":
         return GainSpec(kind="chain_vdp", c=c, mu=problem.params["mu"])
     if kind == "chain_linear":
-        return GainSpec(kind="chain_linear", c=c)
-    S, L, _, _ = linearize(problem)
+        return GainSpec(kind="constant", G=np.array([[0.0], [c]]))
+    S, L, _ = linearize(problem)
     return GainSpec(kind="constant", G=stabilizing_gain(S, L))

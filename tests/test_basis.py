@@ -11,7 +11,6 @@ from mmrom.basis import (
     basis_count,
     eval_basis,
     eval_basis_gradient,
-    eval_expansion,
     generate_basis,
 )
 
@@ -93,14 +92,6 @@ def test_gradient_many_points_shape():
     grads = eval_basis_gradient(basis, pts)
     assert grads.shape == (5, basis.size, 3)
     assert np.allclose(grads[2], eval_basis_gradient(basis, pts[2]))
-
-
-def test_eval_expansion_linear_combination():
-    basis = generate_basis(2, 2)
-    coeffs = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
-    pt = np.array([0.3, 0.4])
-    expected = coeffs @ eval_basis(basis, pt)
-    assert np.isclose(eval_expansion(basis, coeffs, pt), expected, rtol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)

@@ -154,3 +154,12 @@ def test_failed_full_order_run_is_not_cached(fresh_reference, monkeypatch):
     assert len(calls) == len(results) == 9  # every cell retries, and records its own cause
     assert all(r.error == "RuntimeError: integration failed: step size too small"
                for r in results)
+
+
+def test_rom_cells_count_domain_excursions():
+    # the Van der Pol reduced state leaves the hw = 1 and hw = 2 boxes; the linear one never does
+    with pytest.warns(UserWarning, match="left the expansion domain"):
+        vdp = reproduce_table("T4-rom-n2")
+    assert [r.half_width for r in vdp if r.outside_domain > 0] == [1.0] * 3 + [2.0] * 3
+    assert all(r.outside_domain == 0 for r in vdp if r.half_width == 3.0)
+    assert all(r.outside_domain == 0 for r in reproduce_table("T3-rom-n2"))

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import yaml
 
+from mmrom import bench
 from mmrom.basis import basis_count
 from mmrom.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, _fingerprint, main
 from mmrom.persist import read_coefficients, write_coefficients
@@ -97,6 +98,17 @@ def test_residual_fingerprint_tells_generic_problems_apart(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
+def test_residual_fingerprint_ignores_spelling_and_term_order(tmp_path):
+    solved_path = write_yaml(tmp_path, _generic_config(-1.0, 1.0), name="solved.yaml")
+    same = _generic_config(-1, 1)  # integers, and the f terms listed in reverse
+    same["problem"]["generic"]["f"][0].reverse()
+    same_path = write_yaml(tmp_path, same, name="same.yaml")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--quiet", "solve", "--config", solved_path]) == EXIT_OK
+    assert main(["--out", str(out), "--quiet", "residual", "--config", same_path,
+                 "--coefficients", str(out / "coefficients.txt")]) == EXIT_OK
+
+
 def test_builtin_fingerprint_unchanged(ladder_config):
     # coefficient files written by earlier versions carry this line and must still load
     cfg, _ = ladder_config
@@ -181,8 +193,12 @@ def _coefficients_without_problem_line(tmp_path, n, d):
     ({}, ["residual", "--subdomain", "0", "--coefficients", (2, 2)]),
     ({}, ["residual", "--coefficients", (3, 2)]),
     ({}, ["residual", "--coefficients", (2, 3)]),
+    ({"rom": {"gain": "chain_linear"}}, ["rom"]),
+    ({"rom": {"gain": "chain_vdp"},
+      "problem": {"name": "rl_vdp", "params": {"n": 2, "mu": 0.25, "kappa": 1.1}}}, ["rom"]),
 ], ids=["x0_length", "G_broadcasts", "G_shape", "omega0_length", "r0_length", "t_end_equal",
-        "t_end_before", "domain_without_hi", "subdomain_zero", "coefficients_n", "coefficients_d"])
+        "t_end_before", "domain_without_hi", "subdomain_zero", "coefficients_n", "coefficients_d",
+        "gain_chain_linear", "gain_chain_vdp"])
 def test_inconsistent_inputs_exit_code(tmp_path, ladder_config, capsys, update, command):
     cfg, _ = ladder_config
     cfg.update(update)
@@ -193,6 +209,19 @@ def test_inconsistent_inputs_exit_code(tmp_path, ladder_config, capsys, update, 
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_reproduce_prints_domain_excursions(tmp_path, monkeypatch, capsys):
+    cells = [bench.CellResult(half_width=hw, M=2, n=2, value=0.1, reference=0.1, passed=True,
+                              converged=True, seconds=1.0, outside_domain=count)
+             for hw, count in ((1.0, 558), (3.0, 0))]
+    monkeypatch.setattr(bench, "reproduce_table", lambda table: cells)
+    assert main(["--out", str(tmp_path), "reproduce", "T4-rom-n2"]) == EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if "domain [" in line]
+    assert lines[0].endswith("pass  outside_domain=558")
+    assert lines[1].endswith("pass")
+    assert (tmp_path / "T4-rom-n2.csv").read_text().splitlines()[0] == \
+        "domain,M,n,value,reference,pass"
 
 
 def test_missing_config_file_exit_code(tmp_path):

@@ -10,7 +10,6 @@ from mmrom.config import (
     build_problem,
     build_simulation,
     build_solver_options,
-    dump_config,
     load_config,
     validate_config,
 )
@@ -59,7 +58,7 @@ def test_invalid_configs_rejected_with_field_name(mutate, fragment):
 def test_load_and_dump_round_trip(tmp_path):
     cfg = base_config()
     path = tmp_path / "run.yaml"
-    path.write_text(dump_config(cfg))
+    path.write_text(yaml.safe_dump(cfg, sort_keys=True))
     loaded = load_config(path)
     assert loaded == cfg
 
@@ -111,10 +110,11 @@ def test_build_domain_and_solver_and_sim():
 def test_build_gain_variants():
     cfg = base_config()
     prob = build_problem(cfg)
-    assert build_gain(cfg, prob).kind == "chain_linear"  # auto on the ladder
+    g = build_gain(cfg, prob)  # auto on the ladder: the chain gain (0, c)
+    assert g.kind == "constant" and np.array_equal(g.G, [[0.0], [10.0]])
 
-    cfg["rom"] = {"gain": "chain_linear", "c": 5.0}
-    assert build_gain(cfg, prob).c == 5.0
+    cfg["rom"] = {"c": 5.0}
+    assert np.array_equal(build_gain(cfg, prob).G, [[0.0], [5.0]])
 
     cfg["rom"] = {"gain": "constant"}
     with pytest.raises(ConfigError):
@@ -125,8 +125,14 @@ def test_build_gain_variants():
     assert np.allclose(g.matrix(np.zeros(2)), [[0.0], [10.0]])
 
 
-def test_chain_vdp_gain_needs_problem_mu():
+@pytest.mark.parametrize("kind,problem", [
+    ("chain_linear", {"name": "rl_linear", "params": {"n": 2}}),
+    ("chain_vdp", {"name": "rl_vdp", "params": {"n": 2, "mu": 0.25}}),
+], ids=["chain_linear", "chain_vdp"])
+def test_removed_gain_kinds_rejected(kind, problem):
+    # chain_linear is constant with G = [[0], [c]]; auto picks chain_vdp where it applies
     cfg = base_config()
-    cfg["rom"] = {"gain": "chain_vdp"}
-    with pytest.raises(ConfigError, match="mu"):
-        build_gain(cfg, build_problem(cfg))  # rl_linear has no mu
+    cfg["problem"] = problem
+    cfg["rom"] = {"gain": kind}
+    with pytest.raises(ConfigError, match="expected auto or constant"):
+        build_gain(cfg, build_problem(cfg))

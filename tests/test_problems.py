@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmrom.basis import eval_expansion, generate_basis
+from mmrom.basis import generate_basis
 from mmrom.problems import (
     PolyMap,
     Problem,
@@ -19,8 +19,8 @@ from mmrom.problems import (
     make_test1,
     make_van_der_pol,
     test1_exact_coefficients as exact_test1_coefficients,
-    test1_exact_pi as exact_test1_pi,
 )
+from mmrom.residuals import residual_at
 
 
 def _dense_fx(sys, x, u):
@@ -118,30 +118,12 @@ class TestTest1:
     def test_exact_pi_satisfies_invariance_pde(self):
         a = 2.0
         prob = make_test1(a)
-        pi = exact_test1_pi(a)
+        basis = generate_basis(2, 3)
+        C = exact_test1_coefficients(basis, a)
         rng = np.random.default_rng(0)
         for _ in range(10):
             w = rng.uniform(-1, 1, size=2)
-            h = 1e-6
-            dpi = np.column_stack([
-                (pi(w + h * np.eye(2)[j]) - pi(w - h * np.eye(2)[j])) / (2 * h)
-                for j in range(2)
-            ])
-            sl = prob.generator.sl(w)
-            lhs = dpi @ sl[:2]
-            rhs = prob.system.f(pi(w), sl[2:])
-            assert np.allclose(lhs, rhs, atol=1e-8)
-        assert np.allclose(pi(np.zeros(2)), 0.0)
-
-    def test_exact_coefficients_reproduce_exact_pi(self):
-        a = 2.0
-        basis = generate_basis(2, 3)
-        C = exact_test1_coefficients(basis, a)
-        pi = exact_test1_pi(a)
-        for w in ([0.3, -0.5], [0.9, 0.1]):
-            w = np.asarray(w)
-            vals = [eval_expansion(basis, C[i], w) for i in range(2)]
-            assert np.allclose(vals, pi(w), rtol=1e-13, atol=1e-14)
+            assert np.allclose(residual_at(prob, basis, C, w), 0.0, atol=1e-13)
 
     def test_linear_part_closed_form(self):
         basis = generate_basis(2, 2)
@@ -175,10 +157,6 @@ class TestCartPendulum:
         u = np.array([0.7])
         assert np.allclose(
             _dense_fx(sys, x, u), _fd_jacobian(lambda z: sys.f(z, u), x),
-            rtol=1e-6, atol=1e-7,
-        )
-        assert np.allclose(
-            sys.f_jacobian_u(x, u), _fd_jacobian(lambda v: sys.f(x, v), u),
             rtol=1e-6, atol=1e-7,
         )
 
@@ -228,7 +206,6 @@ class TestLadder:
             _dense_fx(sys, x, u), _fd_jacobian(lambda z: sys.f(z, u), x),
             rtol=1e-6, atol=1e-7,
         )
-        assert np.allclose(sys.f_jacobian_u(x, u)[:, 0], np.eye(4)[0])
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_coupling_matrix_matches_diag_construction(self, n):
@@ -344,11 +321,10 @@ def test_problem_input_dimension_mismatch_rejected():
 
 
 def test_linearize_test1():
-    S, L, A, B = linearize(make_test1(2.0))
+    S, L, A = linearize(make_test1(2.0))
     assert np.allclose(S, [[0.0, 2.0], [-2.0, 0.0]])
     assert np.allclose(L, [[1.0, 0.0]])
     assert np.allclose(A, -np.eye(2))
-    assert np.allclose(B, [[1.0], [0.0]])
 
 
 def test_check_assumptions_builtin_problems():

@@ -8,6 +8,7 @@ from mmrom.newton import Solution, solve_invariance
 from mmrom.problems import linearize, make_rl_linear, make_rl_vdp, make_test1
 from mmrom.quadrature import BoxDomain
 from mmrom.rom import (
+    GAIN_MARGIN,
     GainSpec,
     NotDetectableError,
     UnstableGainError,
@@ -32,8 +33,9 @@ class TestGainSpec:
         assert np.allclose(GainSpec(kind="constant", G=G).matrix(np.zeros(2)), G)
 
     def test_chain_linear(self):
-        g = GainSpec(kind="chain_linear", c=10.0)
-        assert np.allclose(g.matrix(np.array([0.3, -0.2])), [[0.0], [10.0]])
+        # the ladder's chain gain (0, c) does not depend on the state
+        g = default_gain(make_rl_linear(2), c=10.0)
+        assert np.array_equal(g.matrix(np.array([0.3, -0.2])), [[0.0], [10.0]])
 
     def test_chain_vdp_state_dependence(self):
         g = GainSpec(kind="chain_vdp", c=10.0, mu=0.25)
@@ -43,15 +45,17 @@ class TestGainSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             GainSpec(kind="whatever").matrix(np.zeros(2))
+        with pytest.raises(ValueError):  # the chain gain (0, c) is a constant G
+            GainSpec(kind="chain_linear").matrix(np.zeros(2))
 
 
 class TestStabilizingGain:
     def test_places_stable_spectrum(self):
         S = np.array([[0.0, 2.0], [-2.0, 0.0]])
         L = np.array([[1.0, 0.0]])
-        G = stabilizing_gain(S, L, target_margin=0.5)
+        G = stabilizing_gain(S, L)
         eigs = np.linalg.eigvals(S - G @ L)
-        assert np.max(eigs.real) <= -0.5 + 1e-8
+        assert np.max(eigs.real) <= -GAIN_MARGIN + 1e-8
 
     def test_unobservable_pair_rejected(self):
         S = np.array([[0.0, 2.0], [-2.0, 0.0]])
@@ -62,7 +66,7 @@ class TestStabilizingGain:
 class TestDefaultGain:
     def test_chain_linear_problem(self):
         gain = default_gain(make_rl_linear(2), c=7.0)
-        assert gain.kind == "chain_linear" and gain.c == 7.0
+        assert gain.kind == "constant" and np.array_equal(gain.G, [[0.0], [7.0]])
 
     def test_chain_vdp_problem(self):
         gain = default_gain(make_rl_vdp(2))
@@ -72,7 +76,7 @@ class TestDefaultGain:
         prob = make_test1(2.0)
         gain = default_gain(prob)
         assert gain.kind == "constant"
-        S, L, _, _ = linearize(prob)
+        S, L, _ = linearize(prob)
         eigs = np.linalg.eigvals(S - gain.G @ L)
         assert np.max(eigs.real) < 0
 
@@ -113,7 +117,7 @@ class TestBuildRom:
         prob = make_rl_linear(2)
         sol = _solved(prob)
         with pytest.raises(UnstableGainError):
-            build_rom(prob, sol, GainSpec(kind="chain_linear", c=0.0))
+            build_rom(prob, sol, GainSpec(kind="constant", G=np.zeros((2, 1))))
 
 
 class TestVerifyStability:
