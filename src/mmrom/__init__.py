@@ -20,7 +20,7 @@ from .problems import (
 )
 from .assembly import GalerkinOperators, assemble_operators, jacobian_JF, residual_F
 from .newton import SolverOptions, Solution, newton_step, solve_invariance, solve_sylvester
-from .rom import GainSpec, ReducedOrderModel, build_rom, default_gain, stabilizing_gain, verify_rom_stability
+from .rom import ReducedOrderModel, build_rom, default_gain, stabilizing_gain, verify_rom_stability
 from .simulate import Trajectory, simulate_fom, simulate_rom, steady_state_rms
 from .residuals import ResidualReport, residual_at, residual_norm
 

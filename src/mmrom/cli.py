@@ -26,7 +26,7 @@ from .persist import problem_fingerprint, read_coefficients, write_coefficients
 from .problems import check_assumptions
 from .quadrature import BoxDomain
 from .residuals import residual_norm
-from .rom import build_rom
+from .rom import UnstableGainError, build_rom
 from .simulate import simulate_fom, simulate_rom, steady_state_rms
 
 EXIT_OK = 0
@@ -136,7 +136,10 @@ def cmd_rom(args) -> int:
     if not solution.converged:
         _say(args, "invariance solve did not converge; cannot build the reduced model")
         return EXIT_NOT_CONVERGED
-    rom = build_rom(problem, solution, gain)
+    try:
+        rom = build_rom(problem, solution, gain)
+    except UnstableGainError as exc:  # a rom.G that does not stabilize the reduced model
+        raise ConfigError(f"rom: {exc}") from exc
     fom_traj = simulate_fom(problem, omega0, x0, t_span)
     rom_traj = simulate_rom(rom, problem.generator, omega0, r0, t_span)
     metrics = steady_state_rms(fom_traj, rom_traj)

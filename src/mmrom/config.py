@@ -17,7 +17,7 @@ from .problems import (
     system_from_tables,
 )
 from .quadrature import BoxDomain
-from .rom import GainSpec, default_gain
+from .rom import default_gain
 from .simulate import OMEGA0, R0, T_SPAN
 
 
@@ -30,7 +30,7 @@ _SCHEMA = {
     "domain": {"lo", "hi"},
     "degree": None,
     "solver": {"tol_F_l1", "max_iter"},
-    "rom": {"gain", "c", "G"},
+    "rom": {"G"},
     "simulation": {"t_start", "t_end", "omega0", "r0", "x0"},
 }
 
@@ -89,7 +89,7 @@ def validate_config(cfg: dict) -> dict:
             f"problem.name: unknown builtin {name!r}; expected one of "
             f"{sorted(_BUILTINS) + ['generic']}"
         )
-    if not isinstance(cfg["degree"], int) or cfg["degree"] < 1:
+    if type(cfg["degree"]) is not int or cfg["degree"] < 1:
         raise ConfigError("degree: must be a positive integer")
     return cfg
 
@@ -129,7 +129,7 @@ def build_problem(cfg: dict) -> Problem:
             f_tables=_tables_from_config(g["f"]),
             h_tables=_tables_from_config(g["h"]),
         )
-        return Problem(generator=gen, system=sys, params={})
+        return Problem(generator=gen, system=sys)
 
 
 def build_domain(cfg: dict) -> BoxDomain:
@@ -167,21 +167,14 @@ def build_simulation(cfg: dict, problem: Problem):
     return t_span, omega0, r0, x0
 
 
-def build_gain(cfg: dict, problem: Problem) -> GainSpec:
-    """``auto``: default_gain with the chain constant ``c``; ``constant``: the
-    (d, m) matrix ``G``."""
+def build_gain(cfg: dict, problem: Problem) -> callable:
+    """The constant (d, m) matrix ``rom.G`` when given; default_gain otherwise."""
     raw = cfg.get("rom", {}) or {}
-    kind = raw.get("gain", "auto")
-    if kind not in ("auto", "constant"):
-        raise ConfigError(f"rom.gain: unknown kind {kind!r}; expected auto or constant")
-    if kind == "constant" and "G" not in raw:
-        raise ConfigError("rom.G: required for constant gain")
+    if "G" not in raw:
+        return default_gain(problem)
     with _section("rom"):
-        c = float(raw.get("c", 10.0))
-        if kind == "auto":
-            return default_gain(problem, c=c)
         G = np.asarray(raw["G"], dtype=float)
         shape = (problem.generator.d, problem.generator.m)
         if G.shape != shape:
             raise ValueError(f"G needs shape {shape}, got {G.shape}")
-        return GainSpec(kind="constant", G=G)
+    return lambda r: G

@@ -1,6 +1,7 @@
 """Newton iteration on the Galerkin coefficients, plus the Sylvester oracle."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +24,11 @@ class SolverOptions:
     initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.tol_F_l1 <= 0:
-            raise ValueError("tol_F_l1 must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if isinstance(self.tol_F_l1, bool) or not 0 < self.tol_F_l1 < np.inf:
+            raise ValueError(f"tol_F_l1 must be a positive finite number, got {self.tol_F_l1!r}")
+        if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool) \
+                or self.max_iter < 1:
+            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 
 
 @dataclass

@@ -15,7 +15,7 @@ largest polynomial degree of s and l the same way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,9 +121,13 @@ class FullOrderSystem:
 
 @dataclass
 class Problem:
+    """A generator driving a system.  ``gain``, when stated, is the output
+    injection g(r) of the problem's reduced models, a (d, m) matrix at one
+    reduced state."""
+
     generator: SignalGenerator
     system: FullOrderSystem
-    params: dict = field(default_factory=dict)
+    gain: callable | None = None
 
     def __post_init__(self):
         if self.generator.m != self.system.m:
@@ -175,6 +179,10 @@ def system_from_tables(n: int, m: int, p: int, f_tables, h_tables) -> FullOrderS
 # Built-in benchmark problems
 # ---------------------------------------------------------------------------
 
+# The constant c of the ladder benchmarks' chain gains.
+CHAIN_GAIN_C = 10.0
+
+
 def make_test1(a: float = 2.0) -> Problem:
     """Two-state benchmark with a rotational generator and known solution."""
     if a == 0:
@@ -193,7 +201,7 @@ def make_test1(a: float = 2.0) -> Problem:
         ],
         h_tables=[{(1, 0): 1.0}],
     )
-    return Problem(generator=gen, system=sys, params={"a": a})
+    return Problem(generator=gen, system=sys)
 
 
 def test1_exact_coefficients(basis, a: float) -> np.ndarray:
@@ -252,7 +260,7 @@ def make_cart_pendulum(a1: float = 2.0, a2: float = 3.0, k: float = -2.0 / 3.0) 
         f=f, h=h,
         f_jacobian_x=f_jacobian_x, jacobian_pattern=(np.array([0, 1, 2]), np.array([2, 3, 0])),
     )
-    return Problem(generator=gen, system=sys, params={"a1": a1, "a2": a2, "k": k})
+    return Problem(generator=gen, system=sys)
 
 
 def cart_pendulum_exact_coefficients(basis, k: float) -> np.ndarray:
@@ -333,22 +341,16 @@ def make_van_der_pol(mu: float = 0.25) -> SignalGenerator:
 
 def make_rl_linear(n: int = 2, a: float = 2.0, kappa: float = 1.1) -> Problem:
     """RL ladder driven by the harmonic oscillator generator; its reduced
-    models use the constant chain gain (0, c)."""
-    return Problem(
-        generator=make_linear_oscillator(a),
-        system=make_rl_ladder(n, kappa),
-        params={"a": a, "kappa": kappa, "gain": "chain_linear"},
-    )
+    models use the constant chain gain (0, CHAIN_GAIN_C)."""
+    G = np.array([[0.0], [CHAIN_GAIN_C]])
+    return Problem(make_linear_oscillator(a), make_rl_ladder(n, kappa), gain=lambda r: G)
 
 
 def make_rl_vdp(n: int = 2, mu: float = 0.25, kappa: float = 1.1) -> Problem:
     """RL ladder driven by the Van der Pol generator; its reduced models use
-    the state-dependent chain gain (0, mu (1 - r_1^2) + c)."""
-    return Problem(
-        generator=make_van_der_pol(mu),
-        system=make_rl_ladder(n, kappa),
-        params={"mu": mu, "kappa": kappa, "gain": "chain_vdp"},
-    )
+    the state-dependent chain gain (0, mu (1 - r_1^2) + CHAIN_GAIN_C)."""
+    return Problem(make_van_der_pol(mu), make_rl_ladder(n, kappa),
+                   gain=lambda r: np.array([[0.0], [mu * (1.0 - r[0] ** 2) + CHAIN_GAIN_C]]))
 
 
 # ---------------------------------------------------------------------------

@@ -26,27 +26,6 @@ class NotDetectableError(RuntimeError):
 
 
 @dataclass
-class GainSpec:
-    """Output-injection gain for the reduced dynamics.
-
-    kind 'constant' uses a fixed d x m matrix G; 'chain_vdp' uses the
-    state-dependent (0, mu*(1 - r_1^2) + c) of the Van der Pol ladder benchmark.
-    """
-
-    kind: str
-    G: np.ndarray | None = None
-    c: float = 10.0
-    mu: float = 0.25
-
-    def matrix(self, r: np.ndarray) -> np.ndarray:
-        if self.kind == "constant":
-            return self.G
-        if self.kind == "chain_vdp":
-            return np.array([[0.0], [self.mu * (1.0 - r[0] ** 2) + self.c]])
-        raise ValueError(f"unknown gain kind {self.kind!r}")
-
-
-@dataclass
 class ReducedOrderModel:
     """Reduced dynamics s(r) - g(r) l(r) + g(r) u with output h(pi^N(r));
     ``output`` takes one state (d,) or a batch of states (T, d)."""
@@ -57,8 +36,9 @@ class ReducedOrderModel:
     domain: BoxDomain  # the box pi^N was solved on
 
 
-def build_rom(problem: Problem, solution: Solution, gain: GainSpec) -> ReducedOrderModel:
-    """Assemble the reduced-order model from a converged coefficient block."""
+def build_rom(problem: Problem, solution: Solution, gain: callable) -> ReducedOrderModel:
+    """Assemble the reduced-order model from a converged coefficient block and
+    the gain g(r), a (d, m) matrix at one reduced state."""
     if not solution.converged:
         raise ValueError("solution did not converge; refusing to build a reduced model")
     gen, sys = problem.generator, problem.system
@@ -67,7 +47,7 @@ def build_rom(problem: Problem, solution: Solution, gain: GainSpec) -> ReducedOr
     d = gen.d
 
     def dynamics(r, u):
-        g = gain.matrix(r)
+        g = gain(r)
         sl = gen.sl(r)
         return sl[:d] - g @ sl[d:] + g @ u
 
@@ -122,14 +102,11 @@ def verify_rom_stability(rom: ReducedOrderModel, problem: Problem) -> dict:
     }
 
 
-def default_gain(problem: Problem, c: float = 10.0) -> GainSpec:
-    """Benchmark-appropriate gain: on a ladder problem the chain gain that its
-    params["gain"] names, the constant (0, c) or the Van der Pol
-    (0, mu (1 - r_1^2) + c); a pole-relocated constant matrix otherwise."""
-    kind = problem.params.get("gain")
-    if kind == "chain_vdp":
-        return GainSpec(kind="chain_vdp", c=c, mu=problem.params["mu"])
-    if kind == "chain_linear":
-        return GainSpec(kind="constant", G=np.array([[0.0], [c]]))
+def default_gain(problem: Problem) -> callable:
+    """The problem's own gain when it states one; otherwise the constant
+    pole-relocated gain of its linearization."""
+    if problem.gain is not None:
+        return problem.gain
     S, L, _ = linearize(problem)
-    return GainSpec(kind="constant", G=stabilizing_gain(S, L))
+    G = stabilizing_gain(S, L)
+    return lambda r: G

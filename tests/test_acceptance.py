@@ -175,7 +175,7 @@ def _random_linear_problem(rng):
     gen = generator_from_tables(d=2, m=1, s_tables=s_tables, l_tables=l_tables)
     sys = system_from_tables(n=n, m=1, p=1, f_tables=f_tables,
                              h_tables=[{tuple(h_exp): 1.0}])
-    prob = Problem(generator=gen, system=sys, params={})
+    prob = Problem(generator=gen, system=sys)
     S = np.array([[0.0, b], [-b, 0.0]])
     return prob, S, np.atleast_2d(Lrow), A, B
 
@@ -230,9 +230,8 @@ def test_criterion_10_property_suite(capsys):
 
     # structured fast path vs generic assembly
     for n, M, make in ((2, 2, make_rl_linear), (3, 3, make_rl_vdp), (4, 2, make_rl_linear)):
-        chain_prob = make(n)
-        generic_prob = make_generic_ladder(n, chain_prob.params["kappa"],
-                                           chain_prob.generator, chain_prob.params)
+        chain_prob = make(n, kappa=1.1)
+        generic_prob = make_generic_ladder(n, 1.1, chain_prob.generator)
         basis = generate_basis(2, M)
         dom = BoxDomain.cube(1.0, d=2)
         ops_c = assemble_operators(chain_prob, basis, dom)

@@ -26,7 +26,7 @@ from mmrom.problems import (
 from mmrom.quadrature import BoxDomain, monomial_integral_tables
 
 
-def make_generic_ladder(n, kappa, generator, params):
+def make_generic_ladder(n, kappa, generator):
     """Ladder dynamics expressed as explicit coefficient tables: the table
     twin of the make_rl_ladder closure, used to cross-check the two."""
     f_tables = []
@@ -53,7 +53,7 @@ def make_generic_ladder(n, kappa, generator, params):
     h_exp[0] = 1
     sys = system_from_tables(n=n, m=1, p=1, f_tables=f_tables,
                              h_tables=[{tuple(h_exp): 1.0}])
-    return Problem(generator=generator, system=sys, params=params)
+    return Problem(generator=generator, system=sys)
 
 
 def _dense(J):
@@ -81,7 +81,7 @@ def test_default_quadrature_exact_for_quintic_dynamics():
         {(0, 1, 0): -1.0, (1, 0, 1): 1.0, (0, 5, 0): -0.2},
     ]
     sys = system_from_tables(n=2, m=1, p=1, f_tables=f_tables, h_tables=[{(1, 0): 1.0}])
-    quintic = Problem(generator=prob.generator, system=sys, params={})
+    quintic = Problem(generator=prob.generator, system=sys)
     basis = generate_basis(2, 6)
     dom = BoxDomain.cube(1.0, d=2)
     c = np.random.default_rng(0).normal(scale=0.3, size=2 * basis.size)
@@ -97,7 +97,7 @@ def test_mass_matrix_1d_hand_values():
     sys = system_from_tables(n=1, m=1, p=1,
                              f_tables=[{(1, 0): -1.0, (0, 1): 1.0}],
                              h_tables=[{(1,): 1.0}])
-    ops = assemble_operators(Problem(generator=gen, system=sys, params={}), basis, dom)
+    ops = assemble_operators(Problem(generator=gen, system=sys), basis, dom)
     # basis (w, w^2) on [-1, 1]: entries are 1-D monomial integrals
     mass = ops.basis_products.sum(axis=0).reshape(2, 2)
     assert np.allclose(mass, [[2.0 / 3.0, 0.0], [0.0, 2.0 / 5.0]], atol=1e-14)
@@ -158,7 +158,7 @@ def test_default_quadrature_exact_for_high_degree_generator():
     sys = system_from_tables(n=1, m=1, p=1,
                              f_tables=[{(1, 0): -1.0, (0, 1): 1.0}],
                              h_tables=[{(1,): 1.0}])
-    prob = Problem(generator=gen, system=sys, params={})
+    prob = Problem(generator=gen, system=sys)
     basis = generate_basis(2, 2)
     dom = BoxDomain(lo=[-1.0, -0.5], hi=[1.5, 1.0])
     assert default_quadrature_order(prob, 2) == 11
@@ -205,7 +205,7 @@ def test_chain_path_matches_generic_path(n, M, kind):
         chain_prob = make_rl_linear(n, a=2.0, kappa=kappa)
     else:
         chain_prob = make_rl_vdp(n, mu=0.25, kappa=kappa)
-    generic_prob = make_generic_ladder(n, kappa, chain_prob.generator, chain_prob.params)
+    generic_prob = make_generic_ladder(n, kappa, chain_prob.generator)
     basis = generate_basis(2, M)
     dom = BoxDomain.cube(1.0, d=2)
     ops_chain = assemble_operators(chain_prob, basis, dom)
@@ -261,7 +261,7 @@ def test_linear_problem_residual_is_affine():
                   {(0, 1, 0): -2.0, (0, 0, 1): 0.5}],
         h_tables=[{(1, 0): 1.0}],
     )
-    prob = Problem(generator=gen, system=sys, params={})
+    prob = Problem(generator=gen, system=sys)
     basis = generate_basis(2, 2)
     ops = assemble_operators(prob, basis, BoxDomain.cube(1.0, d=2))
     rng = np.random.default_rng(2)
@@ -333,7 +333,7 @@ def test_jacobian_pattern_and_JF_on_random_sparse_tables(n, degree, seed):
     assert np.allclose(dense, fd, rtol=1e-6, atol=1e-7)
 
     # JF matches central differences of F, and its type follows the band
-    prob = Problem(generator=make_test1(2.0).generator, system=sys, params={})
+    prob = Problem(generator=make_test1(2.0).generator, system=sys)
     basis = generate_basis(2, 2)
     ops = assemble_operators(prob, basis, BoxDomain.cube(1.0, d=2))
     dim = n * basis.size

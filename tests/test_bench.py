@@ -52,8 +52,8 @@ def test_run_residual_cell_test1():
     assert result.value < 1e-10
 
 
-def test_reproduce_runs_tables_at_published_n():
-    results = reproduce_table("T3-res-n1000")
+def test_reproduce_runs_tables_at_published_n(reproduced):
+    results = reproduced("T3-res-n1000")
     assert len(results) == 9
     assert all(r.n == 1000 and r.passed for r in results)
     with pytest.raises(ValueError):

@@ -160,7 +160,18 @@ def test_unknown_config_key_exit_code(tmp_path, ladder_config):
                     "domain": {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]}, "degree": 2}),
     yaml.safe_dump({"problem": {"name": "generic", "generic": {"d": 2}},
                     "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
-], ids=["yaml_syntax", "ladder_n1", "max_iter0", "domain_length", "generic_missing_tables"])
+    yaml.safe_dump({"problem": {"name": "rl_linear"},
+                    "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": True}),
+    yaml.safe_dump({"problem": {"name": "rl_linear"}, "solver": {"max_iter": True},
+                    "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
+    yaml.safe_dump({"problem": {"name": "rl_linear"}, "solver": {"tol_F_l1": float("nan")},
+                    "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
+    yaml.safe_dump({"problem": {"name": "rl_linear"}, "solver": {"tol_F_l1": float("inf")},
+                    "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
+    yaml.safe_dump({"problem": {"name": "rl_linear"}, "solver": {"tol_F_l1": True},
+                    "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
+], ids=["yaml_syntax", "ladder_n1", "max_iter0", "domain_length", "generic_missing_tables",
+        "degree_bool", "max_iter_bool", "tol_nan", "tol_inf", "tol_bool"])
 def test_invalid_config_values_exit_code(tmp_path, capsys, text):
     path = tmp_path / "run.yaml"
     path.write_text(text)
@@ -183,8 +194,8 @@ def _coefficients_without_problem_line(tmp_path, n, d):
 
 @pytest.mark.parametrize("update,command", [
     ({"simulation": {"x0": [0.0, 0.0, 0.0]}}, ["rom"]),
-    ({"rom": {"gain": "constant", "G": [[1.0]]}}, ["rom"]),
-    ({"rom": {"gain": "constant", "G": [[1.0, 2.0]]}}, ["rom"]),
+    ({"rom": {"G": [[1.0]]}}, ["rom"]),
+    ({"rom": {"G": [[1.0, 2.0]]}}, ["rom"]),
     ({"simulation": {"omega0": [0.1]}}, ["rom"]),
     ({"simulation": {"r0": [0.0, 1.0, 0.0]}}, ["rom"]),
     ({"simulation": {"t_start": 5.0, "t_end": 5.0}}, ["rom"]),
@@ -196,9 +207,11 @@ def _coefficients_without_problem_line(tmp_path, n, d):
     ({"rom": {"gain": "chain_linear"}}, ["rom"]),
     ({"rom": {"gain": "chain_vdp"},
       "problem": {"name": "rl_vdp", "params": {"n": 2, "mu": 0.25, "kappa": 1.1}}}, ["rom"]),
+    ({"rom": {"c": 3.0}}, ["rom"]),
+    ({"rom": {"G": [[0.0], [0.0]]}}, ["rom"]),
 ], ids=["x0_length", "G_broadcasts", "G_shape", "omega0_length", "r0_length", "t_end_equal",
         "t_end_before", "domain_without_hi", "subdomain_zero", "coefficients_n", "coefficients_d",
-        "gain_chain_linear", "gain_chain_vdp"])
+        "gain_chain_linear", "gain_chain_vdp", "rom_c", "G_unstable"])
 def test_inconsistent_inputs_exit_code(tmp_path, ladder_config, capsys, update, command):
     cfg, _ = ladder_config
     cfg.update(update)

@@ -13,6 +13,7 @@ from mmrom.config import (
     load_config,
     validate_config,
 )
+from mmrom.problems import CHAIN_GAIN_C, linearize
 
 
 def base_config():
@@ -46,6 +47,8 @@ def test_valid_config_passes():
     (lambda c: c.update({"simulation": {"rel_tol": 1e-9}}), "rel_tol"),
     (lambda c: c.update({"simulation": {"steady_window_fraction": 0.4}}), "steady_window_fraction"),
     (lambda c: c["domain"].pop("hi"), "hi"),
+    (lambda c: c.update({"rom": {"c": 3.0}}), "'c'"),
+    (lambda c: c.update({"degree": True}), "degree: must be a positive integer"),
 ])
 def test_invalid_configs_rejected_with_field_name(mutate, fragment):
     cfg = base_config()
@@ -71,7 +74,8 @@ def test_build_problem_builtins():
 
     cfg = base_config()
     cfg["problem"] = {"name": "test1", "params": {"a": 3.0}}
-    assert build_problem(cfg).params["a"] == 3.0
+    S, _, _ = linearize(build_problem(cfg))
+    assert np.array_equal(S, [[0.0, 3.0], [-3.0, 0.0]])
 
 
 def test_build_problem_generic_tables():
@@ -110,19 +114,17 @@ def test_build_domain_and_solver_and_sim():
 def test_build_gain_variants():
     cfg = base_config()
     prob = build_problem(cfg)
-    g = build_gain(cfg, prob)  # auto on the ladder: the chain gain (0, c)
-    assert g.kind == "constant" and np.array_equal(g.G, [[0.0], [10.0]])
+    r = np.array([0.3, -0.2])
+    # without rom.G, the ladder's own chain gain (0, c)
+    assert build_gain(cfg, prob) is prob.gain
+    assert np.array_equal(build_gain(cfg, prob)(r), [[0.0], [CHAIN_GAIN_C]])
 
-    cfg["rom"] = {"c": 5.0}
-    assert np.array_equal(build_gain(cfg, prob).G, [[0.0], [5.0]])
+    cfg["rom"] = {"G": [[0.0], [5.0]]}  # an explicit constant matrix overrides it
+    assert np.array_equal(build_gain(cfg, prob)(r), [[0.0], [5.0]])
 
-    cfg["rom"] = {"gain": "constant"}
-    with pytest.raises(ConfigError):
-        build_gain(cfg, prob)  # constant gain needs an explicit matrix
-
-    cfg["rom"] = {"gain": "constant", "G": [[0.0], [10.0]]}
-    g = build_gain(cfg, prob)
-    assert np.allclose(g.matrix(np.zeros(2)), [[0.0], [10.0]])
+    cfg["rom"] = {"G": [[0.0, 5.0]]}
+    with pytest.raises(ConfigError, match="G needs shape"):
+        build_gain(cfg, prob)
 
 
 @pytest.mark.parametrize("kind,problem", [
@@ -130,9 +132,10 @@ def test_build_gain_variants():
     ("chain_vdp", {"name": "rl_vdp", "params": {"n": 2, "mu": 0.25}}),
 ], ids=["chain_linear", "chain_vdp"])
 def test_removed_gain_kinds_rejected(kind, problem):
-    # chain_linear is constant with G = [[0], [c]]; auto picks chain_vdp where it applies
+    # a built-in problem states its own gain; the config names no gain kind
     cfg = base_config()
     cfg["problem"] = problem
     cfg["rom"] = {"gain": kind}
-    with pytest.raises(ConfigError, match="expected auto or constant"):
-        build_gain(cfg, build_problem(cfg))
+    with pytest.raises(ConfigError, match="rom: unknown key 'gain'"):
+        validate_config(cfg)
+

@@ -115,6 +115,11 @@ class TestSolverOptions:
     @pytest.mark.parametrize("kwargs", [
         {"tol_F_l1": 0.0},
         {"max_iter": 0},
+        {"tol_F_l1": float("nan")},
+        {"tol_F_l1": float("inf")},
+        {"tol_F_l1": True},
+        {"max_iter": True},
+        {"max_iter": 2.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -139,7 +144,7 @@ class TestSolveInvariance:
                       {(0, 1, 0): -2.0, (1, 0, 0): 0.5}],
             h_tables=[{(1, 0): 1.0}],
         )
-        prob = Problem(generator=gen, system=sys, params={})
+        prob = Problem(generator=gen, system=sys)
         basis = generate_basis(2, 2)
         ops = assemble_operators(prob, basis, BoxDomain.cube(1.0, d=2))
         sol = solve_invariance(prob, ops)
@@ -189,15 +194,19 @@ class TestSolveInvariance:
         assert sol.converged and sol.iterations == 0
         assert sol.backend_used is None
 
-    @pytest.mark.parametrize("params", [{"kappa": 1.1}, {}])
+    @pytest.mark.parametrize("params", [{"kappa": 2.0}, {}])
     def test_ladder_dynamics_come_from_the_system(self, params):
-        # the system's own kappa = 2.0 governs, whatever the params say
-        prob = Problem(make_linear_oscillator(2.0), make_rl_ladder(3, kappa=2.0), params=params)
+        # a ladder paired with a generator by hand solves on its own kappa,
+        # to the same coefficients as the registered rl_linear problem
+        prob = Problem(make_linear_oscillator(2.0), make_rl_ladder(3, **params))
         basis = generate_basis(2, 4)
         dom = BoxDomain.cube(1.0, d=2)
         sol = solve_invariance(prob, assemble_operators(prob, basis, dom))
         assert sol.converged
         assert residual_norm(prob, basis, sol.c, W=dom).weighted_norm < 1e-4
+        ref = make_rl_linear(3, a=2.0, **params)
+        ref_sol = solve_invariance(ref, assemble_operators(ref, basis, dom))
+        assert np.allclose(sol.c, ref_sol.c, rtol=0, atol=1e-12)
 
     def test_max_iter_cap_reports_not_converged(self):
         prob = make_rl_linear(2)

@@ -317,7 +317,7 @@ def test_problem_input_dimension_mismatch_rejected():
         h_tables=[{(1, 0): 1.0}],
     )
     with pytest.raises(ValueError):
-        Problem(generator=gen, system=two_input_sys, params={})
+        Problem(generator=gen, system=two_input_sys)
 
 
 def test_linearize_test1():

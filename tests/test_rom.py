@@ -4,12 +4,12 @@ import pytest
 
 from mmrom.assembly import assemble_operators
 from mmrom.basis import eval_basis, generate_basis
+from mmrom.config import build_gain
 from mmrom.newton import Solution, solve_invariance
-from mmrom.problems import linearize, make_rl_linear, make_rl_vdp, make_test1
+from mmrom.problems import CHAIN_GAIN_C, linearize, make_rl_linear, make_rl_vdp, make_test1
 from mmrom.quadrature import BoxDomain
 from mmrom.rom import (
     GAIN_MARGIN,
-    GainSpec,
     NotDetectableError,
     UnstableGainError,
     build_rom,
@@ -28,25 +28,17 @@ def _solved(problem, M=2, half_width=1.0):
 
 
 class TestGainSpec:
+    # a reduced model's gain is a function r -> G(r) of shape (d, m)
     def test_constant(self):
         G = np.array([[1.0], [2.0]])
-        assert np.allclose(GainSpec(kind="constant", G=G).matrix(np.zeros(2)), G)
+        gain = build_gain({"rom": {"G": G.tolist()}}, make_test1(2.0))
+        for r in ([0.0, 0.0], [0.5, -0.3]):
+            assert np.allclose(gain(np.array(r)), G)
 
     def test_chain_linear(self):
         # the ladder's chain gain (0, c) does not depend on the state
-        g = default_gain(make_rl_linear(2), c=10.0)
-        assert np.array_equal(g.matrix(np.array([0.3, -0.2])), [[0.0], [10.0]])
-
-    def test_chain_vdp_state_dependence(self):
-        g = GainSpec(kind="chain_vdp", c=10.0, mu=0.25)
-        assert np.allclose(g.matrix(np.zeros(2)), [[0.0], [10.25]])
-        assert np.allclose(g.matrix(np.array([2.0, 0.0])), [[0.0], [10.0 + 0.25 * (1 - 4.0)]])
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            GainSpec(kind="whatever").matrix(np.zeros(2))
-        with pytest.raises(ValueError):  # the chain gain (0, c) is a constant G
-            GainSpec(kind="chain_linear").matrix(np.zeros(2))
+        g = default_gain(make_rl_linear(2))
+        assert np.array_equal(g(np.array([0.3, -0.2])), [[0.0], [CHAIN_GAIN_C]])
 
 
 class TestStabilizingGain:
@@ -65,19 +57,28 @@ class TestStabilizingGain:
 
 class TestDefaultGain:
     def test_chain_linear_problem(self):
-        gain = default_gain(make_rl_linear(2), c=7.0)
-        assert gain.kind == "constant" and np.array_equal(gain.G, [[0.0], [7.0]])
+        prob = make_rl_linear(2)
+        assert default_gain(prob) is prob.gain
+        assert np.array_equal(prob.gain(np.zeros(2)), [[0.0], [CHAIN_GAIN_C]])
 
     def test_chain_vdp_problem(self):
-        gain = default_gain(make_rl_vdp(2))
-        assert gain.kind == "chain_vdp" and gain.mu == 0.25
+        prob = make_rl_vdp(2, mu=0.5)
+        assert default_gain(prob) is prob.gain
+        assert np.allclose(prob.gain(np.zeros(2)), [[0.0], [CHAIN_GAIN_C + 0.5]])
+
+    def test_chain_vdp_state_dependence(self):
+        g = make_rl_vdp(2).gain
+        assert np.allclose(g(np.zeros(2)), [[0.0], [10.25]])
+        assert np.allclose(g(np.array([2.0, 0.0])), [[0.0], [10.0 + 0.25 * (1 - 4.0)]])
 
     def test_generic_problem_gets_constant_gain(self):
         prob = make_test1(2.0)
+        assert prob.gain is None
         gain = default_gain(prob)
-        assert gain.kind == "constant"
+        G = gain(np.zeros(2))
+        assert np.array_equal(gain(np.array([0.5, -0.3])), G)
         S, L, _ = linearize(prob)
-        eigs = np.linalg.eigvals(S - gain.G @ L)
+        eigs = np.linalg.eigvals(S - G @ L)
         assert np.max(eigs.real) < 0
 
 
@@ -117,7 +118,7 @@ class TestBuildRom:
         prob = make_rl_linear(2)
         sol = _solved(prob)
         with pytest.raises(UnstableGainError):
-            build_rom(prob, sol, GainSpec(kind="constant", G=np.zeros((2, 1))))
+            build_rom(prob, sol, lambda r: np.zeros((2, 1)))
 
 
 class TestVerifyStability:
