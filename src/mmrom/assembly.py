@@ -119,9 +119,9 @@ def _band(ops: GalerkinOperators, vals: np.ndarray, rows, cols, k: int, n: int, 
     return _blocks(ops, band, plus)
 
 
-def jacobian_JF(problem: Problem, ops: GalerkinOperators, c: np.ndarray):
-    """Jacobian of F: a BlockTridiagonal when every structural nonzero (i, j)
-    of df/dx has |i - j| <= 1, a dense (nN, nN) matrix otherwise."""
+def jacobian_JF(problem: Problem, ops: GalerkinOperators, c: np.ndarray) -> BlockTridiagonal:
+    """Jacobian of F: n blocks of size N when every structural nonzero (i, j)
+    of df/dx has |i - j| <= 1, otherwise one dense block of size nN."""
     sys = problem.system
     n, N = sys.n, ops.size
     C = np.asarray(c, dtype=float).reshape(n, N)
@@ -136,4 +136,5 @@ def jacobian_JF(problem: Problem, ops: GalerkinOperators, c: np.ndarray):
     JF[rows, :, cols, :] = _blocks(ops, vals)
     idx = np.arange(n)
     JF[idx, :, idx, :] += ops.A
-    return JF.reshape(n * N, n * N)
+    empty = np.empty((0, n * N, n * N))
+    return BlockTridiagonal(diag=JF.reshape(1, n * N, n * N), sub=empty, sup=empty)

@@ -203,6 +203,7 @@ class CellResult:
     seconds: float
     error: str | None = None  # "Type: message" of the exception that ended the cell
     outside_domain: int = 0   # stored reduced states outside the expansion domain (ROM cells)
+    iterations: int = 0       # Newton iterations of the cell's solve
 
 
 def _reference(spec: dict, half_width: float, M: int) -> float | None:
@@ -231,7 +232,7 @@ def run_residual_cell(spec: dict, half_width: float, M: int) -> CellResult:
     return CellResult(
         half_width=half_width, M=M, n=spec["n"], value=value, reference=ref,
         passed=_check_cell(value, ref, solution.converged, spec["criterion"]),
-        converged=solution.converged, seconds=seconds,
+        converged=solution.converged, seconds=seconds, iterations=solution.iterations,
     )
 
 
@@ -259,6 +260,7 @@ def run_rom_cell(spec: dict, half_width: float, M: int) -> CellResult:
         half_width=half_width, M=M, n=spec["n"], value=value, reference=ref,
         passed=_check_cell(value, ref, solution.converged, spec["criterion"]),
         converged=solution.converged, seconds=seconds, outside_domain=outside,
+        iterations=solution.iterations,
     )
 
 
@@ -269,7 +271,7 @@ def run_timing_row(spec: dict, n: int) -> CellResult:
     # timing is reported as a measurement; pass records convergence only
     return CellResult(half_width=1.0, M=6, n=n, value=seconds, reference=ref,
                       passed=solution.converged, converged=solution.converged,
-                      seconds=seconds)
+                      seconds=seconds, iterations=solution.iterations)
 
 
 def reproduce_table(table_id: str) -> list[CellResult]:

@@ -171,14 +171,20 @@ def cmd_reproduce(args) -> int:
     path = out / f"{args.table}.csv"
     bench.write_results_csv(path, results)
     all_pass = all(r.passed for r in results)
+    timing = bench.REFERENCE_TABLES[args.table]["kind"] == "timing"
     for r in results:
         val = "not-converged" if r.value is None else f"{r.value:.4e}"
         if r.error is not None:
             val = f"error ({r.error})"
         ref = "-" if r.reference is None else f"{r.reference:.4e}"
+        digits = ""
+        if r.value is not None and r.reference is not None and not timing:
+            # deviation in units of the fifth significant digit, the last one published
+            unit = 10.0 ** (np.floor(np.log10(r.reference)) - 4)
+            digits = f"  digits={(r.value - r.reference) / unit:+.2f}"
         outside = f"  outside_domain={r.outside_domain}" if r.outside_domain else ""
         _say(args, f"  domain [-{r.half_width:g},{r.half_width:g}]^2  M={r.M}  n={r.n}  "
-                   f"value={val}  reference={ref}  "
+                   f"value={val}  reference={ref}  iterations={r.iterations}{digits}  "
                    f"{'pass' if r.passed else 'FAIL'}{outside}")
     _say(args, f"wrote {path}")
     return EXIT_OK if all_pass else EXIT_NOT_CONVERGED

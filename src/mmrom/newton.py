@@ -7,13 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import GalerkinOperators, jacobian_JF, residual_F
-from .linear import (
-    BlockTridiagonal,
-    SingularMatrixError,
-    solve_block_tridiagonal,
-    solve_dense_lu,
-    solve_pseudoinverse,
-)
+from .linear import SingularMatrixError, solve_block_tridiagonal, solve_pseudoinverse
 from .problems import Problem
 
 
@@ -48,16 +42,11 @@ class Solution:
 
 
 def newton_step(JF, F: np.ndarray, backend: str) -> np.ndarray:
-    """Solve JF * delta = F with the named solver: block_tridiagonal, dense_lu or pseudoinverse."""
+    """Solve JF * delta = F, JF a BlockTridiagonal, by block_tridiagonal or pseudoinverse."""
     if backend == "block_tridiagonal":
-        if isinstance(JF, BlockTridiagonal):
-            return solve_block_tridiagonal(JF, F)
-        raise TypeError("block_tridiagonal backend requires a BlockTridiagonal Jacobian")
-    A = JF.to_dense() if isinstance(JF, BlockTridiagonal) else JF
-    if backend == "dense_lu":
-        return solve_dense_lu(A, F)
+        return solve_block_tridiagonal(JF, F)
     if backend == "pseudoinverse":
-        return solve_pseudoinverse(A, F)
+        return solve_pseudoinverse(JF.to_dense(), F)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -67,8 +56,8 @@ def solve_invariance(
     """Plain Newton iteration on F(c) = 0 from the configured initial guess.
 
     It stops when |F|_1 <= tol_F_l1, when |F|_1 is not finite, or after
-    max_iter steps. Each step is solved by block Thomas elimination for a
-    BlockTridiagonal Jacobian and by dense LU otherwise; after a singular
+    max_iter steps. Each step is solved by block Thomas elimination (one
+    LU solve when the Jacobian is a single block); after a singular
     factorization every later step uses the pseudoinverse."""
     opts = options or SolverOptions()
     n, N = problem.system.n, ops.size
@@ -86,8 +75,7 @@ def solve_invariance(
     while (np.isfinite(history[-1]) and history[-1] > opts.tol_F_l1
            and len(history) <= opts.max_iter):
         JF = jacobian_JF(problem, ops, c)
-        if backend is None:
-            backend = "block_tridiagonal" if isinstance(JF, BlockTridiagonal) else "dense_lu"
+        backend = backend or "block_tridiagonal"
         try:
             delta = newton_step(JF, F, backend)
         except SingularMatrixError:

@@ -111,7 +111,6 @@ class FullOrderSystem:
 
     n: int
     m: int
-    p: int
     f: callable
     h: callable
     f_jacobian_x: callable
@@ -169,7 +168,7 @@ def system_from_tables(n: int, m: int, p: int, f_tables, h_tables) -> FullOrderS
         return f_map.partials(xu(x, u), rows, cols)
 
     return FullOrderSystem(
-        n=n, m=m, p=p,
+        n=n, m=m,
         f=f, h=h_map,
         f_jacobian_x=f_jacobian_x, jacobian_pattern=(rows, cols), degree=f_map.max_degree(),
     )
@@ -256,7 +255,7 @@ def make_cart_pendulum(a1: float = 2.0, a2: float = 3.0, k: float = -2.0 / 3.0) 
         return np.asarray(x, dtype=float)[..., :1]
 
     sys = FullOrderSystem(
-        n=4, m=1, p=1,
+        n=4, m=1,
         f=f, h=h,
         f_jacobian_x=f_jacobian_x, jacobian_pattern=(np.array([0, 1, 2]), np.array([2, 3, 0])),
     )
@@ -308,7 +307,7 @@ def make_rl_ladder(n: int, kappa: float = 1.1) -> FullOrderSystem:
         return np.asarray(x, dtype=float)[..., :1]
 
     return FullOrderSystem(
-        n=n, m=1, p=1,
+        n=n, m=1,
         f=f, h=h,
         f_jacobian_x=f_jacobian_x, jacobian_pattern=(rows, cols), degree=3,
     )

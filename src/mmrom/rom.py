@@ -98,7 +98,6 @@ def verify_rom_stability(rom: ReducedOrderModel, problem: Problem) -> dict:
     return {
         "stable": bool(np.max(eigs.real) < 0.0),
         "eigenvalues": eigs,
-        "jacobian": J,
     }
 
 

@@ -11,7 +11,6 @@ from mmrom.assembly import (
     residual_F,
 )
 from mmrom.basis import generate_basis
-from mmrom.linear import BlockTridiagonal
 from mmrom.problems import (
     Problem,
     generator_from_tables,
@@ -54,10 +53,6 @@ def make_generic_ladder(n, kappa, generator):
     sys = system_from_tables(n=n, m=1, p=1, f_tables=f_tables,
                              h_tables=[{tuple(h_exp): 1.0}])
     return Problem(generator=generator, system=sys)
-
-
-def _dense(J):
-    return J.to_dense() if isinstance(J, BlockTridiagonal) else J
 
 
 def _exact_integrals(domain, exponent_sums):
@@ -220,8 +215,7 @@ def test_chain_path_matches_generic_path(n, M, kind):
 
     J_chain = jacobian_JF(chain_prob, ops_chain, c)
     J_generic = jacobian_JF(generic_prob, ops_generic, c)
-    assert isinstance(J_chain, BlockTridiagonal)
-    assert isinstance(J_generic, BlockTridiagonal)
+    assert J_chain.nblocks == J_generic.nblocks == n
     Jc, Jg = J_chain.to_dense(), J_generic.to_dense()
     jscale = np.linalg.norm(Jg)
     assert np.linalg.norm(Jc - Jg) <= 1e-10 * max(jscale, 1.0)
@@ -241,7 +235,7 @@ def test_jacobian_matches_finite_differences(make, M):
     n, N = prob.system.n, basis.size
     rng = np.random.default_rng(11)
     c = rng.normal(scale=0.2, size=n * N)
-    Jd = _dense(jacobian_JF(prob, ops, c))
+    Jd = jacobian_JF(prob, ops, c).to_dense()
     h = 1e-6
     fd = np.empty_like(Jd)
     for j in range(n * N):
@@ -267,7 +261,7 @@ def test_linear_problem_residual_is_affine():
     rng = np.random.default_rng(2)
     c1 = rng.normal(size=2 * basis.size)
     c2 = rng.normal(size=2 * basis.size)
-    J1, J2 = _dense(jacobian_JF(prob, ops, c1)), _dense(jacobian_JF(prob, ops, c2))
+    J1, J2 = jacobian_JF(prob, ops, c1).to_dense(), jacobian_JF(prob, ops, c2).to_dense()
     assert np.allclose(J1, J2, atol=1e-12)
     # affine consistency: F(c2) - F(c1) = J (c2 - c1)
     dF = residual_F(prob, ops, c2) - residual_F(prob, ops, c1)
@@ -332,17 +326,17 @@ def test_jacobian_pattern_and_JF_on_random_sparse_tables(n, degree, seed):
     assert set(zip(rows.tolist(), cols.tolist())) == set(zip(*np.nonzero(np.abs(fd) > 1e-7)))
     assert np.allclose(dense, fd, rtol=1e-6, atol=1e-7)
 
-    # JF matches central differences of F, and its type follows the band
+    # JF matches central differences of F, and its block count follows the band
     prob = Problem(generator=make_test1(2.0).generator, system=sys)
     basis = generate_basis(2, 2)
     ops = assemble_operators(prob, basis, BoxDomain.cube(1.0, d=2))
     dim = n * basis.size
     c = rng.normal(scale=0.2, size=dim)
     J = jacobian_JF(prob, ops, c)
-    assert isinstance(J, BlockTridiagonal) == bool(np.all(np.abs(rows - cols) <= 1))
+    assert J.nblocks == (n if np.all(np.abs(rows - cols) <= 1) else 1)
     fdJ = np.column_stack([(residual_F(prob, ops, c + h * e) - residual_F(prob, ops, c - h * e))
                            / (2 * h) for e in np.eye(dim)])
-    assert np.abs(_dense(J) - fdJ).max() <= 1e-5 * max(np.abs(fdJ).max(), 1.0)
+    assert np.abs(J.to_dense() - fdJ).max() <= 1e-5 * max(np.abs(fdJ).max(), 1.0)
 
 
 def test_ladder_jacobian_shares_constant_bands():

@@ -1,4 +1,6 @@
 """End-to-end tests of the command-line interface."""
+import csv
+
 import numpy as np
 import pytest
 import yaml
@@ -235,6 +237,22 @@ def test_reproduce_prints_domain_excursions(tmp_path, monkeypatch, capsys):
     assert lines[1].endswith("pass")
     assert (tmp_path / "T4-rom-n2.csv").read_text().splitlines()[0] == \
         "domain,M,n,value,reference,pass"
+
+
+def test_reproduce_prints_newton_iterations_and_last_digit_deviation(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "reproduce", "T2"]) == EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if "domain [" in line]
+    rows = list(csv.DictReader((tmp_path / "T2.csv").read_text().splitlines()))
+    problem = bench.make_benchmark_problem("cart_pendulum", 4)
+    assert len(lines) == len(rows) == len(bench.DEGREES)
+    for line, row, M in zip(lines, rows, bench.DEGREES):
+        solution, _ = bench.solve_benchmark(problem, 1.0, M)
+        fields = dict(f.split("=", 1) for f in line.split() if "=" in f)
+        assert fields["M"] == str(M)
+        assert fields["iterations"] == str(solution.iterations)
+        value, reference = float(row["value"]), float(row["reference"])
+        unit = 10.0 ** (np.floor(np.log10(reference)) - 4)
+        assert float(fields["digits"]) == pytest.approx((value - reference) / unit, abs=0.005)
 
 
 def test_missing_config_file_exit_code(tmp_path):

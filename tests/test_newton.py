@@ -11,7 +11,6 @@ from mmrom.linear import (
     BlockTridiagonal,
     SingularMatrixError,
     solve_block_tridiagonal,
-    solve_dense_lu,
     solve_pseudoinverse,
 )
 from mmrom.newton import (
@@ -37,17 +36,19 @@ from mmrom.residuals import residual_norm
 
 
 class TestBackends:
-    def test_dense_lu_solves(self):
+    def test_single_block_is_an_lu_solve(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(8, 8)) + 8 * np.eye(8)
         b = rng.normal(size=8)
-        assert np.allclose(solve_dense_lu(A, b), np.linalg.solve(A, b), rtol=1e-12)
+        one = BlockTridiagonal(diag=A[None], sub=np.empty((0, 8, 8)), sup=np.empty((0, 8, 8)))
+        assert np.allclose(solve_block_tridiagonal(one, b), np.linalg.solve(A, b), rtol=1e-12)
+        assert np.shares_memory(one.to_dense(), A)  # the pseudoinverse fallback copies nothing
 
-    @pytest.mark.filterwarnings("ignore:Diagonal number:scipy.linalg.LinAlgWarning")
-    def test_dense_lu_rejects_singular(self):
+    def test_single_block_rejects_singular(self):
         A = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrixError):
-            solve_dense_lu(A, np.array([1.0, 2.0]))
+        one = BlockTridiagonal(diag=A[None], sub=np.empty((0, 2, 2)), sup=np.empty((0, 2, 2)))
+        with pytest.raises(SingularMatrixError, match="index 0"):
+            solve_block_tridiagonal(one, np.array([1.0, 2.0]))
 
     def test_pseudoinverse_minimum_norm(self):
         A = np.array([[1.0, 2.0], [2.0, 4.0]])
@@ -81,6 +82,22 @@ class TestBackends:
         with pytest.raises(SingularMatrixError, match="index 2"):
             solve_block_tridiagonal(A, np.ones(6))
 
+    def test_block_tridiagonal_rejects_a_nearly_singular_reduced_block(self):
+        # D_1 - sub_0 D_0^{-1} sup_0 = diag(1, ~1e-14): no pivot is exactly
+        # zero, but the block's pivot ratio is below PIVOT_RTOL
+        eye = np.eye(2)
+        A = BlockTridiagonal(diag=np.stack([eye, np.diag([2.0, 1.0 + 1e-14])]),
+                             sub=eye[None], sup=eye[None])
+        with pytest.raises(SingularMatrixError, match="index 1"):
+            solve_block_tridiagonal(A, np.ones(4))
+
+    def test_block_tridiagonal_pivot_ratio_is_per_block(self):
+        # each block is well conditioned; one pivot ratio over both (1e-13)
+        # would call the matrix singular
+        eye, zero = np.eye(2), np.zeros((1, 2, 2))
+        A = BlockTridiagonal(diag=np.stack([1e13 * eye, eye]), sub=zero, sup=zero)
+        assert np.allclose(solve_block_tridiagonal(A, np.ones(4)), [1e-13, 1e-13, 1.0, 1.0])
+
     def test_newton_step_backend_equivalence(self):
         prob = make_rl_linear(4)
         basis = generate_basis(2, 3)
@@ -90,7 +107,7 @@ class TestBackends:
         JF = jacobian_JF(prob, ops, c)
         F = rng.normal(size=4 * basis.size)
         d_block = newton_step(JF, F, "block_tridiagonal")
-        d_dense = newton_step(JF, F, "dense_lu")
+        d_dense = np.linalg.solve(JF.to_dense(), F)
         d_pinv = newton_step(JF, F, "pseudoinverse")
         scale = np.linalg.norm(d_dense)
         assert np.linalg.norm(d_block - d_dense) <= 1e-9 * scale
@@ -160,7 +177,7 @@ class TestSolveInvariance:
 
     def test_singular_jacobian_falls_back_to_pseudoinverse(self):
         # the cart-pendulum Galerkin Jacobian at zero is rank deficient, so
-        # the first dense LU fails and the pseudoinverse takes every step
+        # the LU solve of its one block fails and the pseudoinverse takes every step
         prob = make_benchmark_problem("cart_pendulum", 4)
         for M in (2, 4, 6):
             sol, _ = solve_benchmark(prob, 1.0, M)
@@ -176,7 +193,7 @@ class TestSolveInvariance:
         prob = Problem(generator=gen, system=sys)
         ops = assemble_operators(prob, generate_basis(1, 1), BoxDomain.cube(1.0, d=1))
         JF = jacobian_JF(prob, ops, np.zeros(2))
-        assert isinstance(JF, BlockTridiagonal)
+        assert JF.nblocks == 2
         with pytest.raises(SingularMatrixError, match="index 1"):
             solve_block_tridiagonal(JF, np.ones(2))
         sol = solve_invariance(prob, ops)
