@@ -19,9 +19,10 @@ from .problems import (
     system_from_tables,
 )
 from .assembly import GalerkinOperators, assemble_operators, jacobian_JF, residual_F
-from .newton import SolverOptions, Solution, newton_step, solve_invariance, solve_sylvester
-from .rom import ReducedOrderModel, build_rom, default_gain, stabilizing_gain, verify_rom_stability
-from .simulate import Trajectory, simulate_fom, simulate_rom, steady_state_rms
+from .newton import SolverOptions, Solution, newton_step, solve_invariance
+from .rom import (ReducedOrderModel, build_rom, default_gain, reduced_dynamics, stabilizing_gain,
+                  verify_rom_stability)
+from .simulate import Trajectory, rom_trajectory, simulate_fom, simulate_rom, steady_state_rms
 from .residuals import ResidualReport, residual_at, residual_norm
 
 __version__ = "0.1.0"

@@ -15,8 +15,9 @@ from .newton import Solution, solve_invariance
 from .problems import Problem, make_cart_pendulum, make_rl_linear, make_rl_vdp, make_test1
 from .quadrature import BoxDomain
 from .residuals import residual_norm
-from .rom import default_gain, build_rom
-from .simulate import OMEGA0, R0, Trajectory, simulate_fom, simulate_rom, steady_state_rms
+from .rom import build_rom, default_gain, reduced_dynamics
+from .simulate import (OMEGA0, R0, Trajectory, rom_trajectory, simulate_fom, simulate_rom,
+                       steady_state_rms)
 
 HALF_WIDTHS = (1.0, 2.0, 3.0)
 DEGREES = (2, 4, 6)
@@ -204,6 +205,7 @@ class CellResult:
     error: str | None = None  # "Type: message" of the exception that ended the cell
     outside_domain: int = 0   # stored reduced states outside the expansion domain (ROM cells)
     iterations: int = 0       # Newton iterations of the cell's solve
+    stop_reason: str | None = None  # why the cell's solve stopped: Solution.stop_reason
 
 
 def _reference(spec: dict, half_width: float, M: int) -> float | None:
@@ -233,6 +235,7 @@ def run_residual_cell(spec: dict, half_width: float, M: int) -> CellResult:
         half_width=half_width, M=M, n=spec["n"], value=value, reference=ref,
         passed=_check_cell(value, ref, solution.converged, spec["criterion"]),
         converged=solution.converged, seconds=seconds, iterations=solution.iterations,
+        stop_reason=solution.stop_reason,
     )
 
 
@@ -246,21 +249,34 @@ def _reference_trajectory(name: str, n: int) -> Trajectory:
     return fom
 
 
+@functools.cache
+def _reduced_run(name: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stored times and reduced states that each ROM cell of a problem reads.
+    The reduced dynamics read only the generator and the problem's gain, not pi^N
+    or its domain, so a process integrates them once and shares the run read-only."""
+    problem = make_benchmark_problem(name, n)
+    dynamics = reduced_dynamics(problem, default_gain(problem))
+    run = simulate_rom(dynamics, problem.generator, omega0=OMEGA0, r0=R0)
+    for array in run:
+        array.setflags(write=False)
+    return run
+
+
 def run_rom_cell(spec: dict, half_width: float, M: int) -> CellResult:
     problem = make_benchmark_problem(spec["problem"], spec["n"])
     solution, seconds = solve_benchmark(problem, half_width, M)
     ref = _reference(spec, half_width, M)
     value, outside = None, 0
     if solution.converged:
-        rom = build_rom(problem, solution, default_gain(problem))
+        rom = build_rom(problem, solution)
         fom = _reference_trajectory(spec["problem"], spec["n"])
-        red = simulate_rom(rom, problem.generator, omega0=OMEGA0, r0=R0)
+        red = rom_trajectory(rom, *_reduced_run(spec["problem"], spec["n"]))
         value, outside = steady_state_rms(fom, red)["relative_rms"], red.outside_domain
     return CellResult(
         half_width=half_width, M=M, n=spec["n"], value=value, reference=ref,
         passed=_check_cell(value, ref, solution.converged, spec["criterion"]),
         converged=solution.converged, seconds=seconds, outside_domain=outside,
-        iterations=solution.iterations,
+        iterations=solution.iterations, stop_reason=solution.stop_reason,
     )
 
 
@@ -271,7 +287,8 @@ def run_timing_row(spec: dict, n: int) -> CellResult:
     # timing is reported as a measurement; pass records convergence only
     return CellResult(half_width=1.0, M=6, n=n, value=seconds, reference=ref,
                       passed=solution.converged, converged=solution.converged,
-                      seconds=seconds, iterations=solution.iterations)
+                      seconds=seconds, iterations=solution.iterations,
+                      stop_reason=solution.stop_reason)
 
 
 def reproduce_table(table_id: str) -> list[CellResult]:

@@ -26,8 +26,8 @@ from .persist import problem_fingerprint, read_coefficients, write_coefficients
 from .problems import check_assumptions
 from .quadrature import BoxDomain
 from .residuals import residual_norm
-from .rom import UnstableGainError, build_rom
-from .simulate import simulate_fom, simulate_rom, steady_state_rms
+from .rom import UnstableGainError, build_rom, reduced_dynamics
+from .simulate import rom_trajectory, simulate_fom, simulate_rom, steady_state_rms
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
@@ -81,11 +81,12 @@ def cmd_solve(args) -> int:
             writer.writerow([i, f"{r:.17g}"])
     _say(args, f"wrote {coeff_path} and {log_path}")
     if not solution.converged:
-        _say(args, f"did NOT converge within {solution.iterations} iterations; "
+        _say(args, f"did NOT converge within {solution.iterations} iterations "
+                   f"(stop {solution.stop_reason}); "
                    f"final |F|_1 = {solution.residual_history[-1]:.3e}")
         return EXIT_NOT_CONVERGED
     _say(args, f"converged in {solution.iterations} iterations "
-               f"(backend {solution.backend_used}); "
+               f"(stop {solution.stop_reason}, backend {solution.backend_used}); "
                f"final |F|_1 = {solution.residual_history[-1]:.3e}")
     return EXIT_OK
 
@@ -130,18 +131,18 @@ def cmd_residual(args) -> int:
 def cmd_rom(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
-    gain = build_gain(cfg, problem)
+    try:
+        dynamics = reduced_dynamics(problem, build_gain(cfg, problem))
+    except UnstableGainError as exc:  # a rom.G that does not stabilize the reduced model
+        raise ConfigError(f"rom: {exc}") from exc
     t_span, omega0, r0, x0 = build_simulation(cfg, problem)
     solution = _solve_from_config(cfg, problem)
     if not solution.converged:
         _say(args, "invariance solve did not converge; cannot build the reduced model")
         return EXIT_NOT_CONVERGED
-    try:
-        rom = build_rom(problem, solution, gain)
-    except UnstableGainError as exc:  # a rom.G that does not stabilize the reduced model
-        raise ConfigError(f"rom: {exc}") from exc
     fom_traj = simulate_fom(problem, omega0, x0, t_span)
-    rom_traj = simulate_rom(rom, problem.generator, omega0, r0, t_span)
+    run = simulate_rom(dynamics, problem.generator, omega0, r0, t_span)
+    rom_traj = rom_trajectory(build_rom(problem, solution), *run)
     metrics = steady_state_rms(fom_traj, rom_traj)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -183,9 +184,10 @@ def cmd_reproduce(args) -> int:
             unit = 10.0 ** (np.floor(np.log10(r.reference)) - 4)
             digits = f"  digits={(r.value - r.reference) / unit:+.2f}"
         outside = f"  outside_domain={r.outside_domain}" if r.outside_domain else ""
+        stop = f"  stop={r.stop_reason}" if r.stop_reason else ""  # none when the cell raised
         _say(args, f"  domain [-{r.half_width:g},{r.half_width:g}]^2  M={r.M}  n={r.n}  "
                    f"value={val}  reference={ref}  iterations={r.iterations}{digits}  "
-                   f"{'pass' if r.passed else 'FAIL'}{outside}")
+                   f"{'pass' if r.passed else 'FAIL'}{outside}{stop}")
     _say(args, f"wrote {path}")
     return EXIT_OK if all_pass else EXIT_NOT_CONVERGED
 

@@ -1,4 +1,4 @@
-"""Newton iteration on the Galerkin coefficients, plus the Sylvester oracle."""
+"""Newton iteration on the Galerkin coefficients."""
 from __future__ import annotations
 
 import numbers
@@ -36,6 +36,7 @@ class Solution:
     backend_used: str | None  # solver of the last step; None when no step was taken
     basis: object = None
     domain: object = None
+    stop_reason: str | None = None  # "tol", "max_iter" or "non_finite" (|F|_1 not finite)
 
     def blocks(self, n: int) -> np.ndarray:
         return self.c.reshape(n, -1)
@@ -56,9 +57,10 @@ def solve_invariance(
     """Plain Newton iteration on F(c) = 0 from the configured initial guess.
 
     It stops when |F|_1 <= tol_F_l1, when |F|_1 is not finite, or after
-    max_iter steps. Each step is solved by block Thomas elimination (one
-    LU solve when the Jacobian is a single block); after a singular
-    factorization every later step uses the pseudoinverse."""
+    max_iter steps, and records which in ``stop_reason``. Each step is
+    solved by block Thomas elimination (one LU solve when the Jacobian is a
+    single block); after a singular factorization every later step uses the
+    pseudoinverse."""
     opts = options or SolverOptions()
     n, N = problem.system.n, ops.size
     if opts.initial_guess is not None:
@@ -86,34 +88,17 @@ def solve_invariance(
         F = residual_F(problem, ops, c)
         history.append(float(np.linalg.norm(F, 1)))
 
+    if not np.isfinite(history[-1]):
+        stop_reason = "non_finite"
+    else:
+        stop_reason = "tol" if history[-1] <= opts.tol_F_l1 else "max_iter"
     return Solution(
         c=c,
         iterations=len(history) - 1,
         residual_history=history,
-        converged=bool(history[-1] <= opts.tol_F_l1),
+        converged=stop_reason == "tol",
         backend_used=backend,
         basis=ops.basis,
         domain=ops.domain,
+        stop_reason=stop_reason,
     )
-
-
-def solve_sylvester(S: np.ndarray, L: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve Pi S = A Pi + B L for the invariant mapping of a linear problem.
-
-    Solved as the vectorized nd x nd linear system; raises if the spectra of
-    S and A overlap (singular system).
-    """
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    L = np.atleast_2d(np.asarray(L, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    n, d = A.shape[0], S.shape[0]
-    lhs = np.kron(S.T, np.eye(n)) - np.kron(np.eye(d), A)
-    rhs = (B @ L).reshape(n * d, order="F")
-    try:
-        vec = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "Sylvester system is singular (spectra of S and A overlap)"
-        ) from exc
-    return vec.reshape(n, d, order="F")

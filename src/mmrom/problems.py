@@ -203,22 +203,6 @@ def make_test1(a: float = 2.0) -> Problem:
     return Problem(generator=gen, system=sys)
 
 
-def test1_exact_coefficients(basis, a: float) -> np.ndarray:
-    """Exact expansion coefficients of the make_test1 solution, shape (2, N)."""
-    c1 = 1.0 / (1.0 + a * a)
-    c2 = 1.0 / (1.0 + 5 * a * a + 4 * a ** 4)
-    terms = [
-        {(1, 0): c1, (0, 1): -a * c1},
-        {(2, 0): (1 + a * a) * c2, (1, 1): -3 * a * c2, (0, 2): 3 * a * a * c2},
-    ]
-    coeffs = np.zeros((2, basis.size))
-    lookup = {tuple(e): k for k, e in enumerate(basis.exponents)}
-    for i, table in enumerate(terms):
-        for exp, val in table.items():
-            coeffs[i, lookup[exp]] = val
-    return coeffs
-
-
 def make_cart_pendulum(a1: float = 2.0, a2: float = 3.0, k: float = -2.0 / 3.0) -> Problem:
     """Cart-pendulum position-control benchmark with sinusoidal dynamics."""
     if a1 <= 0 or a2 <= 0:
@@ -260,17 +244,6 @@ def make_cart_pendulum(a1: float = 2.0, a2: float = 3.0, k: float = -2.0 / 3.0) 
         f_jacobian_x=f_jacobian_x, jacobian_pattern=(np.array([0, 1, 2]), np.array([2, 3, 0])),
     )
     return Problem(generator=gen, system=sys)
-
-
-def cart_pendulum_exact_coefficients(basis, k: float) -> np.ndarray:
-    """Exact coefficients (w1, k w1, w2, k w2) of the cart-pendulum solution."""
-    coeffs = np.zeros((4, basis.size))
-    lookup = {tuple(e): j for j, e in enumerate(basis.exponents)}
-    coeffs[0, lookup[(1, 0)]] = 1.0
-    coeffs[1, lookup[(1, 0)]] = k
-    coeffs[2, lookup[(0, 1)]] = 1.0
-    coeffs[3, lookup[(0, 1)]] = k
-    return coeffs
 
 
 def make_rl_ladder(n: int, kappa: float = 1.1) -> FullOrderSystem:

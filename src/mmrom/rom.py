@@ -25,25 +25,12 @@ class NotDetectableError(RuntimeError):
     """(S, L) has unstable or marginal modes invisible to the output."""
 
 
-@dataclass
-class ReducedOrderModel:
-    """Reduced dynamics s(r) - g(r) l(r) + g(r) u with output h(pi^N(r));
-    ``output`` takes one state (d,) or a batch of states (T, d)."""
-
-    dim: int
-    dynamics: callable = field(repr=False)
-    output: callable = field(repr=False)
-    domain: BoxDomain  # the box pi^N was solved on
-
-
-def build_rom(problem: Problem, solution: Solution, gain: callable) -> ReducedOrderModel:
-    """Assemble the reduced-order model from a converged coefficient block and
-    the gain g(r), a (d, m) matrix at one reduced state."""
-    if not solution.converged:
-        raise ValueError("solution did not converge; refusing to build a reduced model")
-    gen, sys = problem.generator, problem.system
-    basis = solution.basis
-    C = solution.blocks(sys.n)
+def reduced_dynamics(problem: Problem, gain: callable) -> callable:
+    """The reduced dynamics (r, u) -> s(r) - g(r) l(r) + g(r) u for the gain
+    g(r), a (d, m) matrix at one reduced state; raises UnstableGainError unless
+    they are stable at the origin.  They read neither pi^N nor its domain, so
+    one reduced run serves every solution of a problem."""
+    gen = problem.generator
     d = gen.d
 
     def dynamics(r, u):
@@ -51,16 +38,35 @@ def build_rom(problem: Problem, solution: Solution, gain: callable) -> ReducedOr
         sl = gen.sl(r)
         return sl[:d] - g @ sl[d:] + g @ u
 
-    def output(r):
-        return sys.h(eval_basis(basis, r) @ C.T)
-
-    rom = ReducedOrderModel(dim=gen.d, dynamics=dynamics, output=output, domain=solution.domain)
-    report = verify_rom_stability(rom, problem)
+    report = verify_rom_stability(dynamics, problem)
     if not report["stable"]:
         raise UnstableGainError(
             f"reduced dynamics unstable at the origin, eigenvalues {report['eigenvalues']}"
         )
-    return rom
+    return dynamics
+
+
+@dataclass
+class ReducedOrderModel:
+    """What a converged solution adds to the reduced dynamics: the output
+    h(pi^N(r)), for one state (d,) or a batch of states (T, d), and the box
+    pi^N was solved on."""
+
+    output: callable = field(repr=False)
+    domain: BoxDomain
+
+
+def build_rom(problem: Problem, solution: Solution) -> ReducedOrderModel:
+    """The reduced model's output map from a converged coefficient block."""
+    if not solution.converged:
+        raise ValueError("solution did not converge; refusing to build a reduced model")
+    sys, basis = problem.system, solution.basis
+    C = solution.blocks(sys.n)
+
+    def output(r):
+        return sys.h(eval_basis(basis, r) @ C.T)
+
+    return ReducedOrderModel(output=output, domain=solution.domain)
 
 
 def stabilizing_gain(S: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -84,16 +90,16 @@ def stabilizing_gain(S: np.ndarray, L: np.ndarray) -> np.ndarray:
     return G
 
 
-def verify_rom_stability(rom: ReducedOrderModel, problem: Problem) -> dict:
+def verify_rom_stability(dynamics: callable, problem: Problem) -> dict:
     """Finite-difference linearization at the origin of the reduced dynamics
     at u = 0, r -> s(r) - g(r) l(r)."""
-    d = rom.dim
+    d = problem.generator.d
     u0 = np.zeros(problem.generator.m)
     J = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)
         e[j] = FD_STEP
-        J[:, j] = (rom.dynamics(e, u0) - rom.dynamics(-e, u0)) / (2.0 * FD_STEP)
+        J[:, j] = (dynamics(e, u0) - dynamics(-e, u0)) / (2.0 * FD_STEP)
     eigs = np.linalg.eigvals(J)
     return {
         "stable": bool(np.max(eigs.real) < 0.0),

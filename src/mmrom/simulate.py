@@ -66,10 +66,17 @@ def simulate_fom(problem: Problem, omega0, x0, t_span=T_SPAN) -> Trajectory:
     return Trajectory(times=times, states=states, outputs=outputs)
 
 
-def simulate_rom(rom: ReducedOrderModel, generator, omega0, r0, t_span=T_SPAN) -> Trajectory:
-    """Integrate the coupled generator/reduced model; outputs y_r = h(pi^N(r))."""
-    times, states = _drive(generator, rom.dynamics, omega0, r0, t_span)
-    r_states = states[:, generator.d:]
+def simulate_rom(dynamics, generator, omega0, r0, t_span=T_SPAN) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the coupled generator/reduced dynamics; returns the stored times
+    (T,) and reduced states (T, d).  The outputs depend on the solution, so
+    ``rom_trajectory`` evaluates them for each reduced model."""
+    times, states = _drive(generator, dynamics, omega0, r0, t_span)
+    return times, states[:, generator.d:]
+
+
+def rom_trajectory(rom: ReducedOrderModel, times: np.ndarray, r_states: np.ndarray) -> Trajectory:
+    """The outputs y_r = h(pi^N(r)) of one reduced model along a reduced run,
+    with the stored states outside its expansion domain counted."""
     outside = int(np.count_nonzero(
         np.any((r_states < rom.domain.lo) | (r_states > rom.domain.hi), axis=1)))
     if outside:
@@ -77,7 +84,7 @@ def simulate_rom(rom: ReducedOrderModel, generator, omega0, r0, t_span=T_SPAN) -
                       f"stored states (largest |r_i| = {np.abs(r_states).max():.3g}); "
                       "output values are extrapolated", stacklevel=2)
     outputs = rom.output(r_states)
-    return Trajectory(times=times, states=states, outputs=outputs, outside_domain=outside)
+    return Trajectory(times=times, states=r_states, outputs=outputs, outside_domain=outside)
 
 
 def steady_state_rms(y: Trajectory, y_r: Trajectory) -> dict:

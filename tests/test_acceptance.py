@@ -16,11 +16,10 @@ from mmrom.bench import (
     run_rom_cell,
     solve_benchmark,
 )
-from mmrom.newton import SolverOptions, newton_step, solve_invariance, solve_sylvester
+from mmrom.newton import SolverOptions, newton_step, solve_invariance
 from mmrom.persist import read_coefficients, write_coefficients
 from mmrom.problems import (
     Problem,
-    cart_pendulum_exact_coefficients,
     generator_from_tables,
     linearize,
     make_cart_pendulum,
@@ -28,11 +27,11 @@ from mmrom.problems import (
     make_rl_vdp,
     make_test1,
     system_from_tables,
-    test1_exact_coefficients as exact_test1_coefficients,
 )
 from mmrom.quadrature import BoxDomain, gauss_legendre_1d
 from mmrom.residuals import residual_norm
 
+from oracles import exact_cart_pendulum_coefficients, exact_test1_coefficients, solve_sylvester
 from test_assembly import make_generic_ladder
 
 
@@ -70,7 +69,7 @@ def test_criterion_2_exact_recovery_transcendental(capsys):
         sol = solve_invariance(problem, ops)
         norm = residual_norm(problem, basis, sol.c, W=BoxDomain.cube(1.0, d=2)).weighted_norm
         elapsed = time.perf_counter() - start
-        exact = cart_pendulum_exact_coefficients(basis, -2.0 / 3.0)
+        exact = exact_cart_pendulum_coefficients(basis, -2.0 / 3.0)
         coeff_err = np.abs(sol.blocks(4) - exact).max()
         if not (sol.converged and sol.backend_used == "pseudoinverse"
                 and norm <= 1e-6 and coeff_err <= 1e-5 and elapsed < 60.0):

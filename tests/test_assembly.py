@@ -20,9 +20,10 @@ from mmrom.problems import (
     make_test1,
     make_van_der_pol,
     system_from_tables,
-    test1_exact_coefficients as exact_test1_coefficients,
 )
 from mmrom.quadrature import BoxDomain, monomial_integral_tables
+
+from oracles import exact_test1_coefficients
 
 
 def make_generic_ladder(n, kappa, generator):

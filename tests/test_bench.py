@@ -16,8 +16,9 @@ from mmrom.bench import (
     solve_benchmark,
     write_results_csv,
 )
-from mmrom.rom import build_rom, default_gain
-from mmrom.simulate import OMEGA0, R0, simulate_fom, simulate_rom, steady_state_rms
+from mmrom.rom import build_rom, default_gain, reduced_dynamics
+from mmrom.simulate import (OMEGA0, R0, rom_trajectory, simulate_fom, simulate_rom,
+                            steady_state_rms)
 
 
 def test_reference_tables_well_formed():
@@ -83,10 +84,12 @@ def test_write_results_csv(tmp_path):
 
 @pytest.fixture
 def fresh_reference():
-    """An empty full-order cache, so that no test sees another test's run."""
+    """Empty full-order and reduced-run caches, so that no test sees another test's run."""
     bench._reference_trajectory.cache_clear()
+    bench._reduced_run.cache_clear()
     yield bench._reference_trajectory
     bench._reference_trajectory.cache_clear()
+    bench._reduced_run.cache_clear()
 
 
 def _fresh_fom(spec):
@@ -94,13 +97,19 @@ def _fresh_fom(spec):
     return simulate_fom(problem, omega0=OMEGA0, x0=np.zeros(spec["n"]))
 
 
+def _fresh_rom_value(spec, half_width, M, fom):
+    """A ROM cell's score with its own reduced run, as each cell integrated it before
+    the run was shared."""
+    problem = make_benchmark_problem(spec["problem"], spec["n"])
+    solution, _ = solve_benchmark(problem, half_width, M)
+    run = simulate_rom(reduced_dynamics(problem, default_gain(problem)), problem.generator,
+                       omega0=OMEGA0, r0=R0)
+    return steady_state_rms(fom, rom_trajectory(build_rom(problem, solution), *run))["relative_rms"]
+
+
 def test_rom_cell_scores_against_fresh_full_order_run(fresh_reference):
     spec = REFERENCE_TABLES["T3-rom-n2"]
-    problem = make_benchmark_problem(spec["problem"], spec["n"])
-    solution, _ = solve_benchmark(problem, 1.0, 6)
-    rom = build_rom(problem, solution, default_gain(problem))
-    red = simulate_rom(rom, problem.generator, omega0=OMEGA0, r0=R0)
-    expected = steady_state_rms(_fresh_fom(spec), red)["relative_rms"]
+    expected = _fresh_rom_value(spec, 1.0, 6, _fresh_fom(spec))
     first = run_rom_cell(spec, 1.0, 6)   # integrates the full-order model
     second = run_rom_cell(spec, 1.0, 6)  # reads it from the cache
     assert first.value == second.value == expected
@@ -127,19 +136,20 @@ def test_reference_trajectory_is_read_only(fresh_reference):
             array[0] = 0.0
 
 
-def _count_full_order_runs(monkeypatch, fom):
+def _count_runs(monkeypatch, name, run):
+    """Replace bench's ``name`` by ``run``, recording each call."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return fom(*args, **kwargs)
+        return run(*args, **kwargs)
 
-    monkeypatch.setattr(bench, "simulate_fom", counted)
+    monkeypatch.setattr(bench, name, counted)
     return calls
 
 
 def test_reproduce_integrates_full_order_model_once(fresh_reference, monkeypatch):
-    calls = _count_full_order_runs(monkeypatch, simulate_fom)
+    calls = _count_runs(monkeypatch, "simulate_fom", simulate_fom)
     results = reproduce_table("T3-rom-n2")
     assert len(calls) == 1
     assert len(results) == 9 and all(r.passed and r.error is None for r in results)
@@ -149,11 +159,51 @@ def test_failed_full_order_run_is_not_cached(fresh_reference, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("integration failed: step size too small")
 
-    calls = _count_full_order_runs(monkeypatch, broken)
+    calls = _count_runs(monkeypatch, "simulate_fom", broken)
     results = reproduce_table("T3-rom-n2")
     assert len(calls) == len(results) == 9  # every cell retries, and records its own cause
     assert all(r.error == "RuntimeError: integration failed: step size too small"
                for r in results)
+
+
+def test_reproduce_integrates_reduced_model_once(fresh_reference, monkeypatch):
+    calls = _count_runs(monkeypatch, "simulate_rom", simulate_rom)
+    results = reproduce_table("T3-rom-n2")
+    assert len(calls) == 1
+    assert len(results) == 9 and all(r.passed and r.error is None for r in results)
+
+
+def test_reduced_run_is_shared_read_only(fresh_reference):
+    spec = REFERENCE_TABLES["T3-rom-n2"]
+    first = run_rom_cell(spec, 1.0, 2)
+    run = bench._reduced_run(spec["problem"], spec["n"])
+    second = run_rom_cell(spec, 3.0, 6)
+    assert bench._reduced_run(spec["problem"], spec["n"]) is run
+    assert bench._reduced_run.cache_info().misses == 1
+    assert first.value != second.value
+    for array in run:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_failed_reduced_run_is_not_cached(fresh_reference, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("integration failed: step size too small")
+
+    calls = _count_runs(monkeypatch, "simulate_rom", broken)
+    results = reproduce_table("T3-rom-n2")
+    assert len(calls) == len(results) == 9  # every cell retries, and records its own cause
+    assert all(r.error == "RuntimeError: integration failed: step size too small"
+               for r in results)
+
+
+@pytest.mark.filterwarnings("ignore:reduced state left the expansion domain")
+@pytest.mark.parametrize("table_id", ["T3-rom-n2", "T4-rom-n2"])
+def test_shared_reduced_run_scores_as_a_fresh_run_per_cell(fresh_reference, table_id):
+    spec = REFERENCE_TABLES[table_id]
+    fom = fresh_reference(spec["problem"], spec["n"])
+    for r in reproduce_table(table_id):
+        assert r.value == _fresh_rom_value(spec, r.half_width, r.M, fom)
 
 
 def test_rom_cells_count_domain_excursions():

@@ -144,6 +144,19 @@ def test_solve_not_converged_exit_code(tmp_path, ladder_config):
     assert (out / "coefficients.txt").exists()  # partial result still written
 
 
+def test_solve_and_reproduce_print_why_newton_stopped(tmp_path, ladder_config, capsys):
+    cfg, _ = ladder_config
+    cfg["solver"] = {"max_iter": 1}
+    cfg_path = write_yaml(tmp_path, cfg, name="capped.yaml")
+    assert main(["--out", str(tmp_path / "capped"), "solve", "--config", cfg_path]) \
+        == EXIT_NOT_CONVERGED
+    assert "(stop max_iter)" in capsys.readouterr().out
+    assert main(["--out", str(tmp_path), "reproduce", "T1"]) == EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if "domain [" in line]
+    assert len(lines) == 3 and all(line.endswith("pass  stop=tol") for line in lines)
+    assert (tmp_path / "T1.csv").read_text().splitlines()[0] == "domain,M,n,value,reference,pass"
+
+
 def test_unknown_config_key_exit_code(tmp_path, ladder_config):
     cfg, _ = ladder_config
     cfg["solver"] = {"tolerance": 1e-7}

@@ -1,5 +1,5 @@
-"""Tests for the Newton iteration, linear-solve backends, and the Sylvester
-oracle."""
+"""Tests for the Newton iteration, the linear-solve backends, and the Sylvester
+oracle the linear acceptance test compares against."""
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,12 +13,7 @@ from mmrom.linear import (
     solve_block_tridiagonal,
     solve_pseudoinverse,
 )
-from mmrom.newton import (
-    SolverOptions,
-    newton_step,
-    solve_invariance,
-    solve_sylvester,
-)
+from mmrom.newton import SolverOptions, newton_step, solve_invariance
 from mmrom.problems import (
     Problem,
     generator_from_tables,
@@ -29,10 +24,11 @@ from mmrom.problems import (
     make_rl_vdp,
     make_test1,
     system_from_tables,
-    test1_exact_coefficients as exact_test1_coefficients,
 )
 from mmrom.quadrature import BoxDomain
 from mmrom.residuals import residual_norm
+
+from oracles import exact_test1_coefficients, solve_sylvester
 
 
 class TestBackends:
@@ -244,8 +240,17 @@ class TestSolveInvariance:
         with np.errstate(all="ignore"):
             sol = solve_invariance(prob, ops, SolverOptions(initial_guess=guess))
         assert not np.isfinite(sol.residual_history[-1])
-        assert not sol.converged
+        assert not sol.converged and sol.stop_reason == "non_finite"
         assert sol.iterations == 0
+
+    def test_iteration_cap_is_the_stop_reason(self):
+        prob = make_rl_vdp(2)
+        basis = generate_basis(2, 4)
+        ops = assemble_operators(prob, basis, BoxDomain.cube(1.0, d=2))
+        sol = solve_invariance(prob, ops, SolverOptions(max_iter=1))
+        assert np.isfinite(sol.residual_history[-1])
+        assert not sol.converged and sol.stop_reason == "max_iter"
+        assert sol.iterations == 1
 
 
 class TestSylvester:

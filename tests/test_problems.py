@@ -8,7 +8,6 @@ from mmrom.basis import generate_basis
 from mmrom.problems import (
     PolyMap,
     Problem,
-    cart_pendulum_exact_coefficients,
     check_assumptions,
     linearize,
     make_cart_pendulum,
@@ -18,9 +17,10 @@ from mmrom.problems import (
     make_rl_vdp,
     make_test1,
     make_van_der_pol,
-    test1_exact_coefficients as exact_test1_coefficients,
 )
 from mmrom.residuals import residual_at
+
+from oracles import exact_cart_pendulum_coefficients, exact_test1_coefficients
 
 
 def _dense_fx(sys, x, u):
@@ -165,7 +165,7 @@ class TestCartPendulum:
         k = -2.0 / 3.0
         prob = make_cart_pendulum(k=k)
         basis = generate_basis(2, 2)
-        C = cart_pendulum_exact_coefficients(basis, k)
+        C = exact_cart_pendulum_coefficients(basis, k)
         pi = lambda w: C @ np.array([w[0], w[1], w[0] ** 2, w[0] * w[1], w[1] ** 2])
         for w in ([0.2, 0.3], [-0.6, 0.1]):
             w = np.asarray(w)

@@ -3,13 +3,11 @@ import numpy as np
 import pytest
 
 from mmrom.basis import generate_basis
-from mmrom.problems import (
-    make_rl_linear,
-    make_test1,
-    test1_exact_coefficients as exact_test1_coefficients,
-)
+from mmrom.problems import make_rl_linear, make_test1
 from mmrom.quadrature import BoxDomain
 from mmrom.residuals import residual_at, residual_norm
+
+from oracles import exact_test1_coefficients
 
 
 def test_exact_solution_has_tiny_residual():

@@ -14,6 +14,7 @@ from mmrom.rom import (
     UnstableGainError,
     build_rom,
     default_gain,
+    reduced_dynamics,
     stabilizing_gain,
     verify_rom_stability,
 )
@@ -86,17 +87,16 @@ class TestBuildRom:
     def test_interconnection_identity(self):
         # feeding the reduced model its own generator output cancels the gain
         prob = make_rl_linear(2)
-        sol = _solved(prob)
-        rom = build_rom(prob, sol, default_gain(prob))
+        dynamics = reduced_dynamics(prob, default_gain(prob))
         for r in ([0.2, -0.1], [0.5, 0.4]):
             r = np.asarray(r)
             sl = prob.generator.sl(r)
-            assert np.allclose(rom.dynamics(r, sl[2:]), sl[:2], rtol=1e-13)
+            assert np.allclose(dynamics(r, sl[2:]), sl[:2], rtol=1e-13)
 
     def test_output_matches_expansion(self):
         prob = make_rl_linear(2)
         sol = _solved(prob)
-        rom = build_rom(prob, sol, default_gain(prob))
+        rom = build_rom(prob, sol)
         C = sol.blocks(2)
         r = np.array([0.3, -0.4])
         x = eval_basis(sol.basis, r) @ C.T
@@ -110,22 +110,19 @@ class TestBuildRom:
                        backend_used=sol.backend_used, basis=sol.basis,
                        domain=sol.domain)
         with pytest.raises(ValueError):
-            build_rom(prob, bad, default_gain(prob))
+            build_rom(prob, bad)
 
     def test_zero_gain_is_rejected_as_marginal(self):
         # with c = 0 the reduced dynamics inherit the generator's neutral
         # spectrum, which is not asymptotically stable
         prob = make_rl_linear(2)
-        sol = _solved(prob)
         with pytest.raises(UnstableGainError):
-            build_rom(prob, sol, lambda r: np.zeros((2, 1)))
+            reduced_dynamics(prob, lambda r: np.zeros((2, 1)))
 
 
 class TestVerifyStability:
     def test_stable_case(self):
         prob = make_rl_linear(2)
-        sol = _solved(prob)
-        rom = build_rom(prob, sol, default_gain(prob))
-        report = verify_rom_stability(rom, prob)
+        report = verify_rom_stability(reduced_dynamics(prob, default_gain(prob)), prob)
         assert report["stable"]
         assert np.max(report["eigenvalues"].real) < 0

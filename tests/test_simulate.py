@@ -11,17 +11,25 @@ from mmrom.config import build_simulation
 from mmrom.newton import solve_invariance
 from mmrom.problems import make_rl_linear
 from mmrom.quadrature import BoxDomain
-from mmrom.rom import build_rom, default_gain
+from mmrom.rom import build_rom, default_gain, reduced_dynamics
 from mmrom.simulate import (
     OMEGA0,
     R0,
     T_SPAN,
     Trajectory,
     _integrate,
+    rom_trajectory,
     simulate_fom,
     simulate_rom,
     steady_state_rms,
 )
+
+
+def _reduced_trajectory(prob, sol, omega0, r0, t_span=T_SPAN):
+    """The reduced run under the problem's default gain, scored through sol's output map."""
+    run = simulate_rom(reduced_dynamics(prob, default_gain(prob)), prob.generator,
+                       omega0, r0, t_span)
+    return rom_trajectory(build_rom(prob, sol), *run)
 
 
 class TestSimConfig:
@@ -52,10 +60,9 @@ class TestEndToEnd:
         basis = generate_basis(2, 4)
         ops = assemble_operators(prob, basis, BoxDomain.cube(2.0, d=2))
         sol = solve_invariance(prob, ops)
-        rom = build_rom(prob, sol, default_gain(prob))
         omega0 = np.array([0.1, 0.2])
         fom = simulate_fom(prob, omega0, np.zeros(2))
-        red = simulate_rom(rom, prob.generator, omega0, np.array([0.0, 1.0]))
+        red = _reduced_trajectory(prob, sol, omega0, np.array([0.0, 1.0]))
         assert T_SPAN == (0.0, 50.0)  # the published experiment's span is the default
         for traj in (fom, red):
             assert (traj.times[0], traj.times[-1]) == T_SPAN
@@ -69,18 +76,15 @@ class TestEndToEnd:
         basis = generate_basis(2, 2)
         ops = assemble_operators(prob, basis, BoxDomain.cube(0.5, d=2))
         sol = solve_invariance(prob, ops)
-        rom = build_rom(prob, sol, default_gain(prob))
         with pytest.warns(UserWarning):
-            simulate_rom(rom, prob.generator, np.array([0.1, 0.2]),
-                         np.array([0.0, 1.0]), (0.0, 5.0))
+            _reduced_trajectory(prob, sol, np.array([0.1, 0.2]), np.array([0.0, 1.0]), (0.0, 5.0))
 
 
 def _benchmark_rom_run(name, half_width, M):
     """The reduced run of one n=2 ROM-table cell."""
     prob = make_benchmark_problem(name, 2)
     sol, _ = solve_benchmark(prob, half_width, M)
-    rom = build_rom(prob, sol, default_gain(prob))
-    return simulate_rom(rom, prob.generator, OMEGA0, R0)
+    return _reduced_trajectory(prob, sol, OMEGA0, R0)
 
 
 class TestDomainExcursions:
@@ -88,7 +92,7 @@ class TestDomainExcursions:
         # T4-rom-n2 hw=1 M=6: the reduced state follows the limit cycle past |r_i| = 1
         with pytest.warns(UserWarning, match="left the expansion domain") as record:
             red = _benchmark_rom_run("rl_vdp", 1.0, 6)
-        r = red.states[:, 2:]
+        r = red.states
         outside = np.count_nonzero(np.abs(r).max(axis=1) > 1.0)
         assert 0 < red.outside_domain == outside < len(red.times)
         assert len(record) == 1
