@@ -20,9 +20,8 @@ from .problems import (
 )
 from .assembly import GalerkinOperators, assemble_operators, jacobian_JF, residual_F
 from .newton import SolverOptions, Solution, newton_step, solve_invariance
-from .rom import (ReducedOrderModel, build_rom, default_gain, reduced_dynamics, stabilizing_gain,
-                  verify_rom_stability)
-from .simulate import Trajectory, rom_trajectory, simulate_fom, simulate_rom, steady_state_rms
+from .rom import build_rom, default_gain, reduced_dynamics, stabilizing_gain
+from .simulate import Trajectory, simulate_fom, simulate_rom, steady_state_rms
 from .residuals import ResidualReport, residual_at, residual_norm
 
 __version__ = "0.1.0"

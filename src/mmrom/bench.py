@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import inspect
 import time
 from dataclasses import dataclass
 
@@ -12,12 +13,11 @@ import numpy as np
 from .assembly import assemble_operators
 from .basis import generate_basis
 from .newton import Solution, solve_invariance
-from .problems import Problem, make_cart_pendulum, make_rl_linear, make_rl_vdp, make_test1
+from .problems import BUILTINS, Problem
 from .quadrature import BoxDomain
 from .residuals import residual_norm
 from .rom import build_rom, default_gain, reduced_dynamics
-from .simulate import (OMEGA0, R0, Trajectory, rom_trajectory, simulate_fom, simulate_rom,
-                       steady_state_rms)
+from .simulate import OMEGA0, R0, Trajectory, simulate_fom, simulate_rom, steady_state_rms
 
 HALF_WIDTHS = (1.0, 2.0, 3.0)
 DEGREES = (2, 4, 6)
@@ -171,15 +171,12 @@ TABLE_IDS = tuple(REFERENCE_TABLES)
 
 
 def make_benchmark_problem(name: str, n: int) -> Problem:
-    if name == "test1":
-        return make_test1(a=2.0)
-    if name == "cart_pendulum":
-        return make_cart_pendulum(a1=2.0, a2=3.0, k=-2.0 / 3.0)
-    if name == "rl_linear":
-        return make_rl_linear(n=n, a=2.0, kappa=1.1)
-    if name == "rl_vdp":
-        return make_rl_vdp(n=n, mu=0.25, kappa=1.1)
-    raise ValueError(f"unknown benchmark problem {name!r}")
+    """A built-in problem at its constructor's defaults, which are the benchmark's
+    parameters; n sets the ladder length of the problems that have one."""
+    if name not in BUILTINS:
+        raise ValueError(f"unknown benchmark problem {name!r}")
+    make = BUILTINS[name]
+    return make(n=n) if "n" in inspect.signature(make).parameters else make()
 
 
 def solve_benchmark(problem: Problem, half_width: float, M: int) -> tuple[Solution, float]:
@@ -240,26 +237,19 @@ def run_residual_cell(spec: dict, half_width: float, M: int) -> CellResult:
 
 
 @functools.cache
-def _reference_trajectory(name: str, n: int) -> Trajectory:
-    """The full-order run that each ROM cell of a problem is scored against; it does
-    not depend on (hw, M), so a process integrates it once and shares it read-only."""
-    fom = simulate_fom(make_benchmark_problem(name, n), omega0=OMEGA0, x0=np.zeros(n))
-    for array in (fom.times, fom.states, fom.outputs):
-        array.setflags(write=False)
-    return fom
-
-
-@functools.cache
-def _reduced_run(name: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stored times and reduced states that each ROM cell of a problem reads.
-    The reduced dynamics read only the generator and the problem's gain, not pi^N
-    or its domain, so a process integrates them once and shares the run read-only."""
+def _rom_runs(name: str, n: int) -> tuple[Trajectory, tuple[np.ndarray, np.ndarray]]:
+    """The full-order run that each ROM cell of a problem is scored against, and the
+    stored times and reduced states that it evaluates its output on.  Neither
+    depends on (hw, M): the reduced dynamics read only the generator and the
+    problem's gain, not pi^N or its domain.  So a process integrates both once per
+    problem and shares them read-only."""
     problem = make_benchmark_problem(name, n)
+    fom = simulate_fom(problem, omega0=OMEGA0, x0=np.zeros(n))
     dynamics = reduced_dynamics(problem, default_gain(problem))
-    run = simulate_rom(dynamics, problem.generator, omega0=OMEGA0, r0=R0)
-    for array in run:
+    reduced = simulate_rom(dynamics, problem.generator, omega0=OMEGA0, r0=R0)
+    for array in (fom.times, fom.outputs, *reduced):
         array.setflags(write=False)
-    return run
+    return fom, reduced
 
 
 def run_rom_cell(spec: dict, half_width: float, M: int) -> CellResult:
@@ -268,9 +258,8 @@ def run_rom_cell(spec: dict, half_width: float, M: int) -> CellResult:
     ref = _reference(spec, half_width, M)
     value, outside = None, 0
     if solution.converged:
-        rom = build_rom(problem, solution)
-        fom = _reference_trajectory(spec["problem"], spec["n"])
-        red = rom_trajectory(rom, *_reduced_run(spec["problem"], spec["n"]))
+        fom, reduced = _rom_runs(spec["problem"], spec["n"])
+        red = build_rom(problem, solution, *reduced)
         value, outside = steady_state_rms(fom, red)["relative_rms"], red.outside_domain
     return CellResult(
         half_width=half_width, M=M, n=spec["n"], value=value, reference=ref,
@@ -296,19 +285,23 @@ def reproduce_table(table_id: str) -> list[CellResult]:
     if table_id not in REFERENCE_TABLES:
         raise ValueError(f"unknown table {table_id!r}; expected one of {TABLE_IDS}")
     spec = REFERENCE_TABLES[table_id]
+    # (half-width, M, n, reference, run) of each cell; a timing row solves hw = 1, M = 6
     if spec["kind"] == "timing":
-        return [run_timing_row(spec, n) for n in spec["dims"]]
-    runner = run_residual_cell if spec["kind"] == "residual" else run_rom_cell
-    cells = [(hw, M) for hw in spec["half_widths"] for M in spec["degrees"]]
+        cells = [(1.0, 6, n, ref, functools.partial(run_timing_row, spec, n))
+                 for n, ref in zip(spec["dims"], spec["values"])]
+    else:
+        runner = run_residual_cell if spec["kind"] == "residual" else run_rom_cell
+        cells = [(hw, M, spec["n"], _reference(spec, hw, M),
+                  functools.partial(runner, spec, hw, M))
+                 for hw in spec["half_widths"] for M in spec["degrees"]]
 
     results = []
-    for hw, M in cells:
+    for hw, M, n, ref, run in cells:
         try:
-            results.append(runner(spec, hw, M))
+            results.append(run())
         except Exception as exc:  # a failed cell is recorded with its cause; the grid goes on
             results.append(CellResult(
-                half_width=hw, M=M, n=spec["n"], value=None,
-                reference=_reference(spec, hw, M),
+                half_width=hw, M=M, n=n, value=None, reference=ref,
                 passed=False, converged=False, seconds=float("nan"),
                 error=f"{type(exc).__name__}: {exc}",
             ))

@@ -27,7 +27,7 @@ from .problems import check_assumptions
 from .quadrature import BoxDomain
 from .residuals import residual_norm
 from .rom import UnstableGainError, build_rom, reduced_dynamics
-from .simulate import rom_trajectory, simulate_fom, simulate_rom, steady_state_rms
+from .simulate import simulate_fom, simulate_rom, steady_state_rms
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
@@ -44,7 +44,7 @@ def _fingerprint(cfg) -> str:
     its tables as parsed, terms sorted, so -1 and -1.0 or a reordering agree."""
     prob = cfg["problem"]
     if prob["name"] != "generic":
-        return problem_fingerprint(prob["name"], prob.get("params", {}) or {})
+        return problem_fingerprint(prob["name"], prob.get("params", {}))
     g = prob["generic"]
     params = {key: int(g[key]) for key in "dnmp"}
     params.update({key: [sorted(t.items()) for t in _tables_from_config(g[key])] for key in "slfh"})
@@ -142,17 +142,14 @@ def cmd_rom(args) -> int:
         return EXIT_NOT_CONVERGED
     fom_traj = simulate_fom(problem, omega0, x0, t_span)
     run = simulate_rom(dynamics, problem.generator, omega0, r0, t_span)
-    rom_traj = rom_trajectory(build_rom(problem, solution), *run)
+    rom_traj = build_rom(problem, solution, *run)
     metrics = steady_state_rms(fom_traj, rom_traj)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fom_traj.to_csv(out / "fom_output.csv", label="y")
     rom_traj.to_csv(out / "rom_output.csv", label="yr")
-    grid = np.linspace(max(fom_traj.times[0], rom_traj.times[0]),
-                       min(fom_traj.times[-1], rom_traj.times[-1]), 2000)
-    err = np.abs(np.interp(grid, fom_traj.times, fom_traj.outputs[:, 0])
-                 - np.interp(grid, rom_traj.times, rom_traj.outputs[:, 0]))
-    np.savetxt(out / "output_error.csv", np.column_stack([grid, err]),
+    error = np.column_stack([metrics["grid"], np.abs(metrics["error"])])
+    np.savetxt(out / "output_error.csv", error,
                delimiter=",", header="t,abs_error", comments="", fmt="%.17g")
     with open(out / "rms_summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,21 +1,14 @@
 """Run configuration: YAML schema, validation, and object construction."""
 from __future__ import annotations
 
+import inspect
 from contextlib import contextmanager
 
 import numpy as np
 import yaml
 
 from .newton import SolverOptions
-from .problems import (
-    Problem,
-    generator_from_tables,
-    make_cart_pendulum,
-    make_rl_linear,
-    make_rl_vdp,
-    make_test1,
-    system_from_tables,
-)
+from .problems import BUILTINS, Problem, generator_from_tables, system_from_tables
 from .quadrature import BoxDomain
 from .rom import default_gain
 from .simulate import OMEGA0, R0, T_SPAN
@@ -32,13 +25,6 @@ _SCHEMA = {
     "solver": {"tol_F_l1", "max_iter"},
     "rom": {"G"},
     "simulation": {"t_start", "t_end", "omega0", "r0", "x0"},
-}
-
-_BUILTINS = {  # name -> (constructor, accepted params)
-    "test1": (make_test1, {"a"}),
-    "cart_pendulum": (make_cart_pendulum, {"a1", "a2", "k"}),
-    "rl_linear": (make_rl_linear, {"n", "a", "kappa"}),
-    "rl_vdp": (make_rl_vdp, {"n", "mu", "kappa"}),
 }
 
 
@@ -82,12 +68,13 @@ def validate_config(cfg: dict) -> dict:
         required = {"d", "n", "m", "p", "s", "l", "f", "h"}
         _check_keys(prob["generic"], required, "problem.generic")
         _require(prob["generic"], required, "problem.generic")
-    elif name in _BUILTINS:
-        _check_keys(prob.get("params", {}), _BUILTINS[name][1], f"problem.params ({name})")
+    elif name in BUILTINS:
+        _check_keys(prob.get("params", {}), inspect.signature(BUILTINS[name]).parameters,
+                    f"problem.params ({name})")
     else:
         raise ConfigError(
             f"problem.name: unknown builtin {name!r}; expected one of "
-            f"{sorted(_BUILTINS) + ['generic']}"
+            f"{sorted(BUILTINS) + ['generic']}"
         )
     if type(cfg["degree"]) is not int or cfg["degree"] < 1:
         raise ConfigError("degree: must be a positive integer")
@@ -114,10 +101,9 @@ def _tables_from_config(raw):
 def build_problem(cfg: dict) -> Problem:
     prob = cfg["problem"]
     name = prob["name"]
-    params = prob.get("params", {}) or {}
     with _section("problem"):
-        if name in _BUILTINS:
-            return _BUILTINS[name][0](**params)
+        if name in BUILTINS:
+            return BUILTINS[name](**prob.get("params", {}))
         g = prob["generic"]
         gen = generator_from_tables(
             d=int(g["d"]), m=int(g["m"]),
@@ -140,7 +126,7 @@ def build_domain(cfg: dict) -> BoxDomain:
 
 
 def build_solver_options(cfg: dict) -> SolverOptions:
-    raw = cfg.get("solver", {}) or {}
+    raw = cfg.get("solver", {})
     with _section("solver"):
         return SolverOptions(**raw)
 
@@ -155,7 +141,7 @@ def _vector(raw: dict, key: str, default, size: int) -> np.ndarray:
 def build_simulation(cfg: dict, problem: Problem):
     """The span and the initial generator, reduced and full-order states of
     the ROM experiment, each checked against the problem's dimensions."""
-    raw = cfg.get("simulation", {}) or {}
+    raw = cfg.get("simulation", {})
     d, n = problem.generator.d, problem.system.n
     with _section("simulation"):
         t_span = (float(raw.get("t_start", T_SPAN[0])), float(raw.get("t_end", T_SPAN[1])))
@@ -169,7 +155,7 @@ def build_simulation(cfg: dict, problem: Problem):
 
 def build_gain(cfg: dict, problem: Problem) -> callable:
     """The constant (d, m) matrix ``rom.G`` when given; default_gain otherwise."""
-    raw = cfg.get("rom", {}) or {}
+    raw = cfg.get("rom", {})
     if "G" not in raw:
         return default_gain(problem)
     with _section("rom"):

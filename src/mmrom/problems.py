@@ -325,6 +325,16 @@ def make_rl_vdp(n: int = 2, mu: float = 0.25, kappa: float = 1.1) -> Problem:
                    gain=lambda r: np.array([[0.0], [mu * (1.0 - r[0] ** 2) + CHAIN_GAIN_C]]))
 
 
+# The built-in problems by config name.  A constructor's keyword parameters are
+# the params it accepts, and its defaults are the benchmark's parameters.
+BUILTINS = {
+    "test1": make_test1,
+    "cart_pendulum": make_cart_pendulum,
+    "rl_linear": make_rl_linear,
+    "rl_vdp": make_rl_vdp,
+}
+
+
 # ---------------------------------------------------------------------------
 # Linearization and assumption checks
 # ---------------------------------------------------------------------------

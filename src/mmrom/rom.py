@@ -1,7 +1,7 @@
 """Moment-matching reduced-order models and stabilizing output-injection gains."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
 
 import numpy as np
 import scipy.signal
@@ -9,9 +9,9 @@ import scipy.signal
 from .basis import eval_basis
 from .newton import Solution
 from .problems import Problem, linearize
-from .quadrature import BoxDomain
+from .simulate import Trajectory
 
-# Central-difference step of verify_rom_stability.
+# Central-difference step of the stability check in reduced_dynamics.
 FD_STEP = 1e-6
 # stabilizing_gain places the reduced poles at -GAIN_MARGIN - 0.5 k, k = 0, ..., d - 1.
 GAIN_MARGIN = 0.5
@@ -28,8 +28,9 @@ class NotDetectableError(RuntimeError):
 def reduced_dynamics(problem: Problem, gain: callable) -> callable:
     """The reduced dynamics (r, u) -> s(r) - g(r) l(r) + g(r) u for the gain
     g(r), a (d, m) matrix at one reduced state; raises UnstableGainError unless
-    they are stable at the origin.  They read neither pi^N nor its domain, so
-    one reduced run serves every solution of a problem."""
+    their finite-difference linearization at the origin at u = 0 is stable.
+    They read neither pi^N nor its domain, so one reduced run serves every
+    solution of a problem."""
     gen = problem.generator
     d = gen.d
 
@@ -38,35 +39,35 @@ def reduced_dynamics(problem: Problem, gain: callable) -> callable:
         sl = gen.sl(r)
         return sl[:d] - g @ sl[d:] + g @ u
 
-    report = verify_rom_stability(dynamics, problem)
-    if not report["stable"]:
-        raise UnstableGainError(
-            f"reduced dynamics unstable at the origin, eigenvalues {report['eigenvalues']}"
-        )
+    u0 = np.zeros(gen.m)
+    J = np.empty((d, d))
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = FD_STEP
+        J[:, j] = (dynamics(e, u0) - dynamics(-e, u0)) / (2.0 * FD_STEP)
+    eigs = np.linalg.eigvals(J)
+    if not np.max(eigs.real) < 0.0:
+        raise UnstableGainError(f"reduced dynamics unstable at the origin, eigenvalues {eigs}")
     return dynamics
 
 
-@dataclass
-class ReducedOrderModel:
-    """What a converged solution adds to the reduced dynamics: the output
-    h(pi^N(r)), for one state (d,) or a batch of states (T, d), and the box
-    pi^N was solved on."""
-
-    output: callable = field(repr=False)
-    domain: BoxDomain
-
-
-def build_rom(problem: Problem, solution: Solution) -> ReducedOrderModel:
-    """The reduced model's output map from a converged coefficient block."""
+def build_rom(problem: Problem, solution: Solution, times: np.ndarray,
+              r_states: np.ndarray) -> Trajectory:
+    """The outputs y_r = h(pi^N(r)) of a converged solution's reduced model along
+    a reduced run (times (T,), states (T, d)), with the stored states outside its
+    expansion domain counted and warned of once."""
     if not solution.converged:
         raise ValueError("solution did not converge; refusing to build a reduced model")
-    sys, basis = problem.system, solution.basis
-    C = solution.blocks(sys.n)
-
-    def output(r):
-        return sys.h(eval_basis(basis, r) @ C.T)
-
-    return ReducedOrderModel(output=output, domain=solution.domain)
+    domain = solution.domain
+    outside = int(np.count_nonzero(
+        np.any((r_states < domain.lo) | (r_states > domain.hi), axis=1)))
+    if outside:
+        warnings.warn(f"reduced state left the expansion domain at {outside} of {len(times)} "
+                      f"stored states (largest |r_i| = {np.abs(r_states).max():.3g}); "
+                      "output values are extrapolated", stacklevel=2)
+    C = solution.blocks(problem.system.n)
+    outputs = problem.system.h(eval_basis(solution.basis, r_states) @ C.T)
+    return Trajectory(times=times, outputs=outputs, outside_domain=outside)
 
 
 def stabilizing_gain(S: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -88,23 +89,6 @@ def stabilizing_gain(S: np.ndarray, L: np.ndarray) -> np.ndarray:
     if np.max(eigs.real) > -GAIN_MARGIN + 1e-8:
         raise NotDetectableError(f"could not reach margin {GAIN_MARGIN}; eigenvalues {eigs}")
     return G
-
-
-def verify_rom_stability(dynamics: callable, problem: Problem) -> dict:
-    """Finite-difference linearization at the origin of the reduced dynamics
-    at u = 0, r -> s(r) - g(r) l(r)."""
-    d = problem.generator.d
-    u0 = np.zeros(problem.generator.m)
-    J = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = FD_STEP
-        J[:, j] = (dynamics(e, u0) - dynamics(-e, u0)) / (2.0 * FD_STEP)
-    eigs = np.linalg.eigvals(J)
-    return {
-        "stable": bool(np.max(eigs.real) < 0.0),
-        "eigenvalues": eigs,
-    }
 
 
 def default_gain(problem: Problem) -> callable:

@@ -9,14 +9,12 @@ section may choose other initial states and another span.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .problems import Problem
-from .rom import ReducedOrderModel
 
 # The benchmark ROM experiment: initial generator and reduced states (d = 2),
 # span, RK45 tolerance and the trailing fraction of the span that is scored.
@@ -30,7 +28,6 @@ STEADY_WINDOW = 0.4
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: np.ndarray   # (T, nstates)
     outputs: np.ndarray  # (T, p)
     outside_domain: int = 0  # stored reduced states outside the ROM's expansion domain
 
@@ -63,28 +60,15 @@ def simulate_fom(problem: Problem, omega0, x0, t_span=T_SPAN) -> Trajectory:
     """Integrate the coupled generator/full-order system; outputs y = h(x)."""
     times, states = _drive(problem.generator, problem.system.f, omega0, x0, t_span)
     outputs = problem.system.h(states[:, problem.generator.d:])
-    return Trajectory(times=times, states=states, outputs=outputs)
+    return Trajectory(times=times, outputs=outputs)
 
 
 def simulate_rom(dynamics, generator, omega0, r0, t_span=T_SPAN) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the coupled generator/reduced dynamics; returns the stored times
     (T,) and reduced states (T, d).  The outputs depend on the solution, so
-    ``rom_trajectory`` evaluates them for each reduced model."""
+    ``rom.build_rom`` evaluates them for each reduced model."""
     times, states = _drive(generator, dynamics, omega0, r0, t_span)
     return times, states[:, generator.d:]
-
-
-def rom_trajectory(rom: ReducedOrderModel, times: np.ndarray, r_states: np.ndarray) -> Trajectory:
-    """The outputs y_r = h(pi^N(r)) of one reduced model along a reduced run,
-    with the stored states outside its expansion domain counted."""
-    outside = int(np.count_nonzero(
-        np.any((r_states < rom.domain.lo) | (r_states > rom.domain.hi), axis=1)))
-    if outside:
-        warnings.warn(f"reduced state left the expansion domain at {outside} of {len(times)} "
-                      f"stored states (largest |r_i| = {np.abs(r_states).max():.3g}); "
-                      "output values are extrapolated", stacklevel=2)
-    outputs = rom.output(r_states)
-    return Trajectory(times=times, states=r_states, outputs=outputs, outside_domain=outside)
 
 
 def steady_state_rms(y: Trajectory, y_r: Trajectory) -> dict:
@@ -93,7 +77,8 @@ def steady_state_rms(y: Trajectory, y_r: Trajectory) -> dict:
     Both outputs are resampled by linear interpolation on 2000 uniform points
     over the final STEADY_WINDOW fraction of the common time span; the
     amplitude normalizer is half the peak-to-peak range of the first
-    trajectory.
+    trajectory.  Besides the three scores it returns that ``grid`` and the
+    pointwise ``error`` y - y_r on it, which the RMS error is taken over.
     """
     p = max(y.outputs.shape[1], y_r.outputs.shape[1])
     if p > 1:
@@ -106,9 +91,12 @@ def steady_state_rms(y: Trajectory, y_r: Trajectory) -> dict:
     amplitude = 0.5 * (yi.max() - yi.min())
     if amplitude < 1e-12:
         raise ValueError("degenerate signal: amplitude below 1e-12")
-    rms = float(np.sqrt(np.mean((yi - yri) ** 2)))
+    error = yi - yri
+    rms = float(np.sqrt(np.mean(error ** 2)))
     return {
         "rms_error": rms,
         "amplitude": float(amplitude),
         "relative_rms": rms / float(amplitude),
+        "grid": grid,
+        "error": error,
     }

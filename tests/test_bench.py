@@ -16,9 +16,9 @@ from mmrom.bench import (
     solve_benchmark,
     write_results_csv,
 )
+from mmrom.problems import make_cart_pendulum, make_rl_linear, make_rl_vdp, make_test1
 from mmrom.rom import build_rom, default_gain, reduced_dynamics
-from mmrom.simulate import (OMEGA0, R0, rom_trajectory, simulate_fom, simulate_rom,
-                            steady_state_rms)
+from mmrom.simulate import OMEGA0, R0, simulate_fom, simulate_rom, steady_state_rms
 
 
 def test_reference_tables_well_formed():
@@ -47,6 +47,23 @@ def test_check_cell_logic():
     assert not _check_cell(1.0e-7, None, True, ("factor", 3.0))
 
 
+@pytest.mark.parametrize("name, n, published", [
+    ("test1", 2, lambda: make_test1(a=2.0)),
+    ("cart_pendulum", 4, lambda: make_cart_pendulum(a1=2.0, a2=3.0, k=-2.0 / 3.0)),
+    ("rl_linear", 100, lambda: make_rl_linear(n=100, a=2.0, kappa=1.1)),
+    ("rl_vdp", 100, lambda: make_rl_vdp(n=100, mu=0.25, kappa=1.1)),
+])
+def test_benchmark_problems_take_the_published_parameters(name, n, published):
+    # the constructors' defaults are the benchmark's parameters
+    problem, expected = make_benchmark_problem(name, n), published()
+    rng = np.random.default_rng(0)
+    w, x, u = rng.standard_normal(2), rng.standard_normal(n), rng.standard_normal(1)
+    assert np.array_equal(problem.generator.sl(w), expected.generator.sl(w))
+    assert np.array_equal(problem.system.f(x, u), expected.system.f(x, u))
+    with pytest.raises(ValueError, match="unknown benchmark problem 'generic'"):
+        make_benchmark_problem("generic", n)
+
+
 def test_run_residual_cell_test1():
     result = run_residual_cell(REFERENCE_TABLES["T1"], 1.0, 2)
     assert result.converged and result.passed
@@ -73,6 +90,21 @@ def test_reproduce_records_failure_cause(monkeypatch):
         assert r.error.startswith("TypeError:") and "bad operand" in r.error
 
 
+def test_reproduce_records_failure_cause_of_timing_rows(monkeypatch):
+    # a timing row that raises is recorded like a residual or ROM cell, not left to end the table
+    def broken(problem, half_width, M):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bench, "solve_benchmark", broken)
+    results = reproduce_table("T3-time")
+    spec = REFERENCE_TABLES["T3-time"]
+    assert [(r.half_width, r.M, r.n, r.reference) for r in results] == \
+        [(1.0, 6, n, ref) for n, ref in zip(spec["dims"], spec["values"])]
+    for r in results:
+        assert not r.passed and not r.converged and r.value is None
+        assert r.error == "RuntimeError: boom"
+
+
 def test_write_results_csv(tmp_path):
     results = reproduce_table("T1")
     path = tmp_path / "results.csv"
@@ -83,13 +115,11 @@ def test_write_results_csv(tmp_path):
 
 
 @pytest.fixture
-def fresh_reference():
-    """Empty full-order and reduced-run caches, so that no test sees another test's run."""
-    bench._reference_trajectory.cache_clear()
-    bench._reduced_run.cache_clear()
-    yield bench._reference_trajectory
-    bench._reference_trajectory.cache_clear()
-    bench._reduced_run.cache_clear()
+def fresh_runs():
+    """An empty cache of full-order and reduced runs, so that no test sees another test's run."""
+    bench._rom_runs.cache_clear()
+    yield bench._rom_runs
+    bench._rom_runs.cache_clear()
 
 
 def _fresh_fom(spec):
@@ -104,34 +134,34 @@ def _fresh_rom_value(spec, half_width, M, fom):
     solution, _ = solve_benchmark(problem, half_width, M)
     run = simulate_rom(reduced_dynamics(problem, default_gain(problem)), problem.generator,
                        omega0=OMEGA0, r0=R0)
-    return steady_state_rms(fom, rom_trajectory(build_rom(problem, solution), *run))["relative_rms"]
+    return steady_state_rms(fom, build_rom(problem, solution, *run))["relative_rms"]
 
 
-def test_rom_cell_scores_against_fresh_full_order_run(fresh_reference):
+def test_rom_cell_scores_against_fresh_full_order_run(fresh_runs):
     spec = REFERENCE_TABLES["T3-rom-n2"]
     expected = _fresh_rom_value(spec, 1.0, 6, _fresh_fom(spec))
     first = run_rom_cell(spec, 1.0, 6)   # integrates the full-order model
     second = run_rom_cell(spec, 1.0, 6)  # reads it from the cache
     assert first.value == second.value == expected
-    assert fresh_reference.cache_info().misses == 1
+    assert fresh_runs.cache_info().misses == 1
 
 
-def test_reference_trajectory_per_problem(fresh_reference):
+def test_reference_trajectory_per_problem(fresh_runs):
     runs = {}
     for table_id in ("T3-rom-n2", "T4-rom-n2"):
         spec = REFERENCE_TABLES[table_id]
-        runs[table_id] = fresh_reference(spec["problem"], spec["n"])
+        runs[table_id], _ = fresh_runs(spec["problem"], spec["n"])
         fresh = _fresh_fom(spec)
-        for field in ("times", "states", "outputs"):
+        for field in ("times", "outputs"):
             assert np.array_equal(getattr(runs[table_id], field), getattr(fresh, field))
-        assert fresh_reference(spec["problem"], spec["n"]) is runs[table_id]
+        assert fresh_runs(spec["problem"], spec["n"])[0] is runs[table_id]
     linear, vdp = runs["T3-rom-n2"].outputs, runs["T4-rom-n2"].outputs
     assert linear.shape != vdp.shape or not np.array_equal(linear, vdp)
 
 
-def test_reference_trajectory_is_read_only(fresh_reference):
-    fom = fresh_reference("rl_linear", 2)
-    for array in (fom.times, fom.states, fom.outputs):
+def test_reference_trajectory_is_read_only(fresh_runs):
+    fom, _ = fresh_runs("rl_linear", 2)
+    for array in (fom.times, fom.outputs):
         with pytest.raises(ValueError):
             array[0] = 0.0
 
@@ -148,14 +178,14 @@ def _count_runs(monkeypatch, name, run):
     return calls
 
 
-def test_reproduce_integrates_full_order_model_once(fresh_reference, monkeypatch):
+def test_reproduce_integrates_full_order_model_once(fresh_runs, monkeypatch):
     calls = _count_runs(monkeypatch, "simulate_fom", simulate_fom)
     results = reproduce_table("T3-rom-n2")
     assert len(calls) == 1
     assert len(results) == 9 and all(r.passed and r.error is None for r in results)
 
 
-def test_failed_full_order_run_is_not_cached(fresh_reference, monkeypatch):
+def test_failed_full_order_run_is_not_cached(fresh_runs, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("integration failed: step size too small")
 
@@ -166,27 +196,27 @@ def test_failed_full_order_run_is_not_cached(fresh_reference, monkeypatch):
                for r in results)
 
 
-def test_reproduce_integrates_reduced_model_once(fresh_reference, monkeypatch):
+def test_reproduce_integrates_reduced_model_once(fresh_runs, monkeypatch):
     calls = _count_runs(monkeypatch, "simulate_rom", simulate_rom)
     results = reproduce_table("T3-rom-n2")
     assert len(calls) == 1
     assert len(results) == 9 and all(r.passed and r.error is None for r in results)
 
 
-def test_reduced_run_is_shared_read_only(fresh_reference):
+def test_reduced_run_is_shared_read_only(fresh_runs):
     spec = REFERENCE_TABLES["T3-rom-n2"]
     first = run_rom_cell(spec, 1.0, 2)
-    run = bench._reduced_run(spec["problem"], spec["n"])
+    _, run = fresh_runs(spec["problem"], spec["n"])
     second = run_rom_cell(spec, 3.0, 6)
-    assert bench._reduced_run(spec["problem"], spec["n"]) is run
-    assert bench._reduced_run.cache_info().misses == 1
+    assert fresh_runs(spec["problem"], spec["n"])[1] is run
+    assert fresh_runs.cache_info().misses == 1
     assert first.value != second.value
     for array in run:
         with pytest.raises(ValueError):
             array[0] = 0.0
 
 
-def test_failed_reduced_run_is_not_cached(fresh_reference, monkeypatch):
+def test_failed_reduced_run_is_not_cached(fresh_runs, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("integration failed: step size too small")
 
@@ -199,9 +229,9 @@ def test_failed_reduced_run_is_not_cached(fresh_reference, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:reduced state left the expansion domain")
 @pytest.mark.parametrize("table_id", ["T3-rom-n2", "T4-rom-n2"])
-def test_shared_reduced_run_scores_as_a_fresh_run_per_cell(fresh_reference, table_id):
+def test_shared_reduced_run_scores_as_a_fresh_run_per_cell(fresh_runs, table_id):
     spec = REFERENCE_TABLES[table_id]
-    fom = fresh_reference(spec["problem"], spec["n"])
+    fom, _ = fresh_runs(spec["problem"], spec["n"])
     for r in reproduce_table(table_id):
         assert r.value == _fresh_rom_value(spec, r.half_width, r.M, fom)
 

@@ -288,6 +288,18 @@ def test_rom_pipeline(tmp_path, ladder_config):
     assert 0 < rel < 0.1
 
 
+def test_rom_output_error_is_the_scored_error(tmp_path, ladder_config):
+    # output_error.csv holds the pointwise error that rms_summary.csv scores: same grid, same RMS
+    _, cfg_path = ladder_config
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--quiet", "rom", "--config", cfg_path]) == EXIT_OK
+    error = np.loadtxt(out / "output_error.csv", delimiter=",", skiprows=1)
+    summary = next(csv.DictReader((out / "rms_summary.csv").read_text().splitlines()))
+    assert error.shape == (2000, 2)
+    assert error[0, 0] == 30.0 and error[-1, 0] == 50.0  # the last 40 % of the 50 s span
+    assert np.sqrt(np.mean(error[:, 1] ** 2)) == float(summary["rms_error"])
+
+
 def test_validate_reports_assumptions(tmp_path, ladder_config, capsys):
     _, cfg_path = ladder_config
     assert main(["validate", "--config", cfg_path]) == EXIT_OK

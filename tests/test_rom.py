@@ -16,7 +16,6 @@ from mmrom.rom import (
     default_gain,
     reduced_dynamics,
     stabilizing_gain,
-    verify_rom_stability,
 )
 
 
@@ -96,11 +95,11 @@ class TestBuildRom:
     def test_output_matches_expansion(self):
         prob = make_rl_linear(2)
         sol = _solved(prob)
-        rom = build_rom(prob, sol)
         C = sol.blocks(2)
-        r = np.array([0.3, -0.4])
+        r = np.array([[0.3, -0.4]])
         x = eval_basis(sol.basis, r) @ C.T
-        assert np.allclose(rom.output(r), prob.system.h(x), rtol=1e-13)
+        rom = build_rom(prob, sol, np.zeros(1), r)
+        assert np.allclose(rom.outputs, prob.system.h(x), rtol=1e-13)
 
     def test_rejects_unconverged_solution(self):
         prob = make_rl_linear(2)
@@ -109,20 +108,23 @@ class TestBuildRom:
                        residual_history=sol.residual_history, converged=False,
                        backend_used=sol.backend_used, basis=sol.basis,
                        domain=sol.domain)
-        with pytest.raises(ValueError):
-            build_rom(prob, bad)
+        with pytest.raises(ValueError, match="did not converge"):
+            build_rom(prob, bad, np.zeros(1), np.zeros((1, 2)))
 
     def test_zero_gain_is_rejected_as_marginal(self):
         # with c = 0 the reduced dynamics inherit the generator's neutral
         # spectrum, which is not asymptotically stable
         prob = make_rl_linear(2)
-        with pytest.raises(UnstableGainError):
+        with pytest.raises(UnstableGainError,
+                           match="reduced dynamics unstable at the origin, eigenvalues"):
             reduced_dynamics(prob, lambda r: np.zeros((2, 1)))
 
 
 class TestVerifyStability:
     def test_stable_case(self):
+        # the chain gain moves the generator's imaginary poles into the left half plane
         prob = make_rl_linear(2)
-        report = verify_rom_stability(reduced_dynamics(prob, default_gain(prob)), prob)
-        assert report["stable"]
-        assert np.max(report["eigenvalues"].real) < 0
+        dynamics = reduced_dynamics(prob, default_gain(prob))
+        S, L, _ = linearize(prob)
+        assert np.max(np.linalg.eigvals(S - prob.gain(np.zeros(2)) @ L).real) < 0
+        assert np.allclose(dynamics(np.zeros(2), np.zeros(1)), 0.0)

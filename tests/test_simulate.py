@@ -18,18 +18,16 @@ from mmrom.simulate import (
     T_SPAN,
     Trajectory,
     _integrate,
-    rom_trajectory,
     simulate_fom,
     simulate_rom,
     steady_state_rms,
 )
 
 
-def _reduced_trajectory(prob, sol, omega0, r0, t_span=T_SPAN):
-    """The reduced run under the problem's default gain, scored through sol's output map."""
-    run = simulate_rom(reduced_dynamics(prob, default_gain(prob)), prob.generator,
-                       omega0, r0, t_span)
-    return rom_trajectory(build_rom(prob, sol), *run)
+def _reduced_run(prob, omega0, r0, t_span=T_SPAN):
+    """The stored times and reduced states under the problem's default gain."""
+    return simulate_rom(reduced_dynamics(prob, default_gain(prob)), prob.generator,
+                        omega0, r0, t_span)
 
 
 class TestSimConfig:
@@ -62,7 +60,7 @@ class TestEndToEnd:
         sol = solve_invariance(prob, ops)
         omega0 = np.array([0.1, 0.2])
         fom = simulate_fom(prob, omega0, np.zeros(2))
-        red = _reduced_trajectory(prob, sol, omega0, np.array([0.0, 1.0]))
+        red = build_rom(prob, sol, *_reduced_run(prob, omega0, np.array([0.0, 1.0])))
         assert T_SPAN == (0.0, 50.0)  # the published experiment's span is the default
         for traj in (fom, red):
             assert (traj.times[0], traj.times[-1]) == T_SPAN
@@ -76,23 +74,24 @@ class TestEndToEnd:
         basis = generate_basis(2, 2)
         ops = assemble_operators(prob, basis, BoxDomain.cube(0.5, d=2))
         sol = solve_invariance(prob, ops)
+        run = _reduced_run(prob, np.array([0.1, 0.2]), np.array([0.0, 1.0]), (0.0, 5.0))
         with pytest.warns(UserWarning):
-            _reduced_trajectory(prob, sol, np.array([0.1, 0.2]), np.array([0.0, 1.0]), (0.0, 5.0))
+            build_rom(prob, sol, *run)
 
 
 def _benchmark_rom_run(name, half_width, M):
-    """The reduced run of one n=2 ROM-table cell."""
+    """The reduced states of one n=2 ROM-table cell and its reduced model's outputs on them."""
     prob = make_benchmark_problem(name, 2)
     sol, _ = solve_benchmark(prob, half_width, M)
-    return _reduced_trajectory(prob, sol, OMEGA0, R0)
+    run = _reduced_run(prob, OMEGA0, R0)
+    return run[1], build_rom(prob, sol, *run)
 
 
 class TestDomainExcursions:
     def test_van_der_pol_cell_counts_states_outside_its_box(self):
         # T4-rom-n2 hw=1 M=6: the reduced state follows the limit cycle past |r_i| = 1
         with pytest.warns(UserWarning, match="left the expansion domain") as record:
-            red = _benchmark_rom_run("rl_vdp", 1.0, 6)
-        r = red.states
+            r, red = _benchmark_rom_run("rl_vdp", 1.0, 6)
         outside = np.count_nonzero(np.abs(r).max(axis=1) > 1.0)
         assert 0 < red.outside_domain == outside < len(red.times)
         assert len(record) == 1
@@ -104,7 +103,7 @@ class TestDomainExcursions:
         # T3-rom-n2 hw=1 M=6: the reduced state stays on the unit circle it starts on
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            red = _benchmark_rom_run("rl_linear", 1.0, 6)
+            _, red = _benchmark_rom_run("rl_linear", 1.0, 6)
         assert red.outside_domain == 0
 
 
@@ -112,7 +111,7 @@ class TestSteadyStateRms:
     def _traj(self, fn, t_end=50.0, npts=5001):
         t = np.linspace(0.0, t_end, npts)
         y = fn(t)[:, None]
-        return Trajectory(times=t, states=y, outputs=y)
+        return Trajectory(times=t, outputs=y)
 
     def test_constant_offset(self):
         fom = self._traj(np.sin)
@@ -121,6 +120,11 @@ class TestSteadyStateRms:
         assert np.isclose(metrics["rms_error"], 0.01, rtol=1e-6)
         assert np.isclose(metrics["amplitude"], 1.0, rtol=1e-3)
         assert np.isclose(metrics["relative_rms"], 0.01, rtol=1e-3)
+        # the score is taken over the returned pointwise error y - y_r on the trailing window
+        grid = metrics["grid"]
+        assert (len(grid), grid[0], grid[-1]) == (2000, 30.0, 50.0)
+        assert np.allclose(metrics["error"], -0.01, rtol=1e-6)
+        assert metrics["rms_error"] == np.sqrt(np.mean(metrics["error"] ** 2))
 
     def test_identical_signals_give_zero(self):
         fom = self._traj(np.cos)
@@ -135,7 +139,7 @@ class TestSteadyStateRms:
     def test_more_than_one_output_rejected(self):
         scalar = self._traj(np.sin)
         t = scalar.times
-        pair = Trajectory(times=t, states=scalar.states, outputs=np.column_stack([np.sin(t), np.cos(t)]))
+        pair = Trajectory(times=t, outputs=np.column_stack([np.sin(t), np.cos(t)]))
         for y, y_r in ((pair, scalar), (scalar, pair)):
             with pytest.raises(ValueError, match="p = 2"):
                 steady_state_rms(y, y_r)
