@@ -22,149 +22,66 @@ from .simulate import OMEGA0, R0, Trajectory, simulate_fom, simulate_rom, steady
 HALF_WIDTHS = (1.0, 2.0, 3.0)
 DEGREES = (2, 4, 6)
 
-# Published weighted residual norms and relative RMS errors, by table id.
-# None marks a cell reported as not converging within the iteration cap.
+
+def _grid(kind: str, problem: str, n: int, values: list, **overrides) -> dict:
+    """A (half-width, degree) table: the 3x3 grid, the factor-3 pass rule and, for a
+    residual table, the evaluation box W = [-0.7, 0.7]^d, unless overridden."""
+    spec = {"kind": kind, "problem": problem, "n": n,
+            "half_widths": HALF_WIDTHS, "degrees": DEGREES}
+    if kind == "residual":
+        spec["W_half"] = 0.7
+    return {**spec, "criterion": ("factor", 3.0), "values": values, **overrides}
+
+
+# T3's residuals at n = 100 and n = 1000, published equal to all five digits
+_T3_RES_LARGE = [[1.0617e-3, 2.2500e-5, 7.0723e-7],
+                 [6.5405e-3, 5.8132e-4, 8.1913e-5],
+                 [1.7266e-2, 1.7815e-3, 7.6927e-4]]
+
+# Published weighted residual norms and relative RMS errors, by table id; rows are
+# half-widths, columns degrees.  None marks a cell reported as not converging
+# within the iteration cap.
 REFERENCE_TABLES = {
-    "T1": {
-        "kind": "residual", "problem": "test1", "n": 2,
-        "half_widths": (1.0,), "degrees": DEGREES, "W_half": 1.0,
-        "criterion": ("absolute", 1e-10),
-        "values": [[1.1048e-16, 1.0940e-15, 5.7176e-14]],
-    },
-    "T2": {
-        "kind": "residual", "problem": "cart_pendulum", "n": 4,
-        "half_widths": (1.0,), "degrees": DEGREES, "W_half": 1.0,
-        "criterion": ("absolute", 1e-6),
-        "values": [[9.3256e-10, 8.6338e-10, 9.4227e-10]],
-    },
-    "T3-res-n2": {
-        "kind": "residual", "problem": "rl_linear", "n": 2,
-        "half_widths": HALF_WIDTHS, "degrees": DEGREES, "W_half": 0.7,
-        "criterion": ("factor", 3.0),
-        "values": [
-            [1.3626e-3, 1.9130e-5, 7.0587e-7],
-            [8.2881e-3, 4.7759e-4, 7.9316e-5],
-            [2.1234e-2, 1.3698e-3, 7.1681e-4],
-        ],
-    },
-    "T3-res-n100": {
-        "kind": "residual", "problem": "rl_linear", "n": 100,
-        "half_widths": HALF_WIDTHS, "degrees": DEGREES, "W_half": 0.7,
-        "criterion": ("factor", 3.0),
-        "values": [
-            [1.0617e-3, 2.2500e-5, 7.0723e-7],
-            [6.5405e-3, 5.8132e-4, 8.1913e-5],
-            [1.7266e-2, 1.7815e-3, 7.6927e-4],
-        ],
-    },
-    "T3-res-n1000": {
-        "kind": "residual", "problem": "rl_linear", "n": 1000,
-        "half_widths": HALF_WIDTHS, "degrees": DEGREES, "W_half": 0.7,
-        "criterion": ("factor", 3.0),
-        "values": [
-            [1.0617e-3, 2.2500e-5, 7.0723e-7],
-            [6.5405e-3, 5.8132e-4, 8.1913e-5],
-            [1.7266e-2, 1.7815e-3, 7.6927e-4],
-        ],
-    },
-    "T4-res-n2": {
-        "kind": "residual", "problem": "rl_vdp", "n": 2,
-        "half_widths": HALF_WIDTHS, "degrees": DEGREES, "W_half": 0.7,
-        "criterion": ("factor", 3.0),
-        "values": [
-            [8.0711e-3, 4.1311e-4, 2.8741e-5],
-            [3.9200e-2, 2.6989e-2, 7.0562e-2],
-            [1.0014e-1, 3.2736e-1, 1.5181e-1],
-        ],
-    },
-    "T4-res-n100": {
-        "kind": "residual", "problem": "rl_vdp", "n": 100,
-        "half_widths": HALF_WIDTHS, "degrees": DEGREES, "W_half": 0.7,
-        "criterion": ("factor", 3.0),
-        "values": [
-            [6.0786e-3, 2.9373e-4, 2.0639e-5],
-            [5.0803e-2, 9.7273e-3, 1.1899e-2],
-            [4.0017e-2, None, None],
-        ],
-    },
-    "T4-res-n1000": {
-        "kind": "residual", "problem": "rl_vdp", "n": 1000,
-        "half_widths": HALF_WIDTHS, "degrees": DEGREES, "W_half": 0.7,
-        "criterion": ("factor", 3.0),
-        "values": [
-            [6.0786e-3, 2.9373e-4, 2.0639e-5],
-            [5.0662e-2, 4.0561e-2, 9.0314e-3],
-            [3.8131e-2, None, None],
-        ],
-    },
-    "T3-rom-n2": {
-        "kind": "rom", "problem": "rl_linear", "n": 2,
-        "half_widths": HALF_WIDTHS, "degrees": DEGREES,
-        "criterion": ("factor", 3.0),
-        "values": [
-            [3.2250e-3, 3.5399e-4, 3.4580e-4],
-            [1.4806e-2, 9.6175e-4, 3.9628e-4],
-            [3.6235e-2, 1.7328e-3, 1.4298e-3],
-        ],
-    },
-    "T3-rom-n100": {
-        "kind": "rom", "problem": "rl_linear", "n": 100,
-        "half_widths": HALF_WIDTHS, "degrees": DEGREES,
-        "criterion": ("factor", 3.0),
-        "values": [
-            [3.2222e-3, 1.5413e-3, 1.5371e-3],
-            [1.3348e-2, 1.9930e-3, 1.5520e-3],
-            [3.5621e-2, 3.2516e-3, 2.2785e-3],
-        ],
-    },
-    "T3-rom-n1000": {
-        "kind": "rom", "problem": "rl_linear", "n": 1000,
-        "half_widths": HALF_WIDTHS, "degrees": DEGREES,
-        "criterion": ("factor", 3.0),
-        "values": [
-            [5.3946e-3, 4.4702e-3, 4.4676e-3],
-            [1.4154e-2, 4.6679e-3, 4.4713e-3],
-            [3.3966e-2, 5.4216e-3, 4.7748e-3],
-        ],
-    },
-    "T4-rom-n2": {
-        "kind": "rom", "problem": "rl_vdp", "n": 2,
-        "half_widths": HALF_WIDTHS, "degrees": DEGREES,
-        "criterion": ("factor", 3.0),
-        "values": [
-            [4.5723e-2, 7.7093e-3, 1.6723e-3],
-            [5.1643e-2, 1.9637e-2, 4.9413e-2],
-            [1.2946e-1, 2.0774e-1, 5.7344e-2],
-        ],
-    },
-    "T4-rom-n100": {
-        "kind": "rom", "problem": "rl_vdp", "n": 100,
-        "half_widths": HALF_WIDTHS, "degrees": DEGREES,
-        "criterion": ("factor", 3.0),
-        "values": [
-            [4.3206e-2, 7.1173e-3, 3.4599e-3],
-            [3.0439e-1, 1.5848e-2, 5.5036e-3],
-            [3.2542e-1, None, None],
-        ],
-    },
-    "T4-rom-n1000": {
-        "kind": "rom", "problem": "rl_vdp", "n": 1000,
-        "half_widths": HALF_WIDTHS, "degrees": DEGREES,
-        "criterion": ("factor", 3.0),
-        "values": [
-            [4.3949e-2, 8.1825e-3, 5.7352e-3],
-            [3.0441e-1, 1.6432e-2, 6.9633e-3],
-            [3.2592e-1, None, None],
-        ],
-    },
-    "T3-time": {
-        "kind": "timing", "problem": "rl_linear", "dims": (2, 100, 1000),
-        "values": [7.1, 447.0, 6935.0],
-    },
-    "T4-time": {
-        "kind": "timing", "problem": "rl_vdp", "dims": (2, 100, 1000),
-        "values": [10.6, 438.0, 6955.0],
-    },
+    "T1": _grid("residual", "test1", 2, [[1.1048e-16, 1.0940e-15, 5.7176e-14]],
+                half_widths=(1.0,), W_half=1.0, criterion=("absolute", 1e-10)),
+    "T2": _grid("residual", "cart_pendulum", 4, [[9.3256e-10, 8.6338e-10, 9.4227e-10]],
+                half_widths=(1.0,), W_half=1.0, criterion=("absolute", 1e-6)),
+    "T3-res-n2": _grid("residual", "rl_linear", 2, [[1.3626e-3, 1.9130e-5, 7.0587e-7],
+                                                    [8.2881e-3, 4.7759e-4, 7.9316e-5],
+                                                    [2.1234e-2, 1.3698e-3, 7.1681e-4]]),
+    "T3-res-n100": _grid("residual", "rl_linear", 100, _T3_RES_LARGE),
+    "T3-res-n1000": _grid("residual", "rl_linear", 1000, _T3_RES_LARGE),
+    "T4-res-n2": _grid("residual", "rl_vdp", 2, [[8.0711e-3, 4.1311e-4, 2.8741e-5],
+                                                 [3.9200e-2, 2.6989e-2, 7.0562e-2],
+                                                 [1.0014e-1, 3.2736e-1, 1.5181e-1]]),
+    "T4-res-n100": _grid("residual", "rl_vdp", 100, [[6.0786e-3, 2.9373e-4, 2.0639e-5],
+                                                     [5.0803e-2, 9.7273e-3, 1.1899e-2],
+                                                     [4.0017e-2, None, None]]),
+    "T4-res-n1000": _grid("residual", "rl_vdp", 1000, [[6.0786e-3, 2.9373e-4, 2.0639e-5],
+                                                       [5.0662e-2, 4.0561e-2, 9.0314e-3],
+                                                       [3.8131e-2, None, None]]),
+    "T3-rom-n2": _grid("rom", "rl_linear", 2, [[3.2250e-3, 3.5399e-4, 3.4580e-4],
+                                               [1.4806e-2, 9.6175e-4, 3.9628e-4],
+                                               [3.6235e-2, 1.7328e-3, 1.4298e-3]]),
+    "T3-rom-n100": _grid("rom", "rl_linear", 100, [[3.2222e-3, 1.5413e-3, 1.5371e-3],
+                                                   [1.3348e-2, 1.9930e-3, 1.5520e-3],
+                                                   [3.5621e-2, 3.2516e-3, 2.2785e-3]]),
+    "T3-rom-n1000": _grid("rom", "rl_linear", 1000, [[5.3946e-3, 4.4702e-3, 4.4676e-3],
+                                                     [1.4154e-2, 4.6679e-3, 4.4713e-3],
+                                                     [3.3966e-2, 5.4216e-3, 4.7748e-3]]),
+    "T4-rom-n2": _grid("rom", "rl_vdp", 2, [[4.5723e-2, 7.7093e-3, 1.6723e-3],
+                                            [5.1643e-2, 1.9637e-2, 4.9413e-2],
+                                            [1.2946e-1, 2.0774e-1, 5.7344e-2]]),
+    "T4-rom-n100": _grid("rom", "rl_vdp", 100, [[4.3206e-2, 7.1173e-3, 3.4599e-3],
+                                                [3.0439e-1, 1.5848e-2, 5.5036e-3],
+                                                [3.2542e-1, None, None]]),
+    "T4-rom-n1000": _grid("rom", "rl_vdp", 1000, [[4.3949e-2, 8.1825e-3, 5.7352e-3],
+                                                  [3.0441e-1, 1.6432e-2, 6.9633e-3],
+                                                  [3.2592e-1, None, None]]),
+    "T3-time": {"kind": "timing", "problem": "rl_linear", "dims": (2, 100, 1000),
+                "values": [7.1, 447.0, 6935.0]},
+    "T4-time": {"kind": "timing", "problem": "rl_vdp", "dims": (2, 100, 1000),
+                "values": [10.6, 438.0, 6955.0]},
 }
 
 TABLE_IDS = tuple(REFERENCE_TABLES)

@@ -110,16 +110,15 @@ def cmd_residual(args) -> int:
     basis = generate_basis(data["d"], data["M"])
     W = BoxDomain.cube(args.subdomain, d=data["d"])
     report = residual_norm(problem, basis, data["c"], W=W, solve_domain=data["domain"])
+    sides = [f"[{lo:g},{hi:g}]" for lo, hi in zip(data["domain"].lo, data["domain"].hi)]
+    label = f"{sides[0]}^{data['d']}" if len(set(sides)) == 1 else "x".join(sides)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "residual.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "M", "n", "weighted_norm"])
-        writer.writerow([
-            f"[{data['domain'].lo[0]:g},{data['domain'].hi[0]:g}]^{data['d']}",
-            data["M"], data["n"], f"{report.weighted_norm:.17g}",
-        ])
+        writer.writerow([label, data["M"], data["n"], f"{report.weighted_norm:.17g}"])
     _say(args, f"weighted residual norm over W=[-{args.subdomain:g},{args.subdomain:g}]^"
                f"{data['d']}: {report.weighted_norm:.6e}")
     for i, v in enumerate(report.per_component_norms):

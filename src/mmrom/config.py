@@ -63,12 +63,14 @@ def validate_config(cfg: dict) -> dict:
     if name is None:
         raise ConfigError("problem.name: missing")
     if name == "generic":
+        _check_keys(prob, {"name", "generic"}, "problem")
         if "generic" not in prob:
             raise ConfigError("problem.generic: required for generic problems")
         required = {"d", "n", "m", "p", "s", "l", "f", "h"}
         _check_keys(prob["generic"], required, "problem.generic")
         _require(prob["generic"], required, "problem.generic")
     elif name in BUILTINS:
+        _check_keys(prob, {"name", "params"}, "problem")
         _check_keys(prob.get("params", {}), inspect.signature(BUILTINS[name]).parameters,
                     f"problem.params ({name})")
     else:

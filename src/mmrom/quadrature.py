@@ -74,30 +74,3 @@ def tensor_rule(domain: BoxDomain, q: int) -> QuadratureRule:
         weights *= g.ravel()
     return QuadratureRule(nodes=nodes, weights=weights)
 
-
-def monomial_integral_1d(lo: float, hi: float, e: int) -> float:
-    return (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
-
-
-def monomial_integral_exact(domain: BoxDomain, exponents) -> float:
-    """Closed-form integral of prod_j w_j**e_j over the box."""
-    exps = np.atleast_1d(np.asarray(exponents, dtype=np.int64))
-    if np.any(exps < 0):
-        raise ValueError("exponents must be non-negative")
-    out = 1.0
-    for j, e in enumerate(exps):
-        out *= monomial_integral_1d(domain.lo[j], domain.hi[j], int(e))
-    return out
-
-
-def monomial_integral_tables(domain: BoxDomain, max_degree: int) -> np.ndarray:
-    """Per-dimension 1-D monomial integrals, shape (max_degree + 1, d).
-
-    Entry [e, j] is the integral of w_j**e over [lo_j, hi_j]; products of the
-    columns give exact integrals of arbitrary monomials on the box.
-    """
-    table = np.empty((max_degree + 1, domain.d))
-    for j in range(domain.d):
-        for e in range(max_degree + 1):
-            table[e, j] = monomial_integral_1d(domain.lo[j], domain.hi[j], e)
-    return table

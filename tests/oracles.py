@@ -2,6 +2,7 @@
 import numpy as np
 
 from mmrom.linear import SingularMatrixError
+from mmrom.quadrature import BoxDomain
 
 
 def solve_sylvester(S: np.ndarray, L: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -51,3 +52,31 @@ def exact_cart_pendulum_coefficients(basis, k: float) -> np.ndarray:
     coeffs[2, lookup[(0, 1)]] = 1.0
     coeffs[3, lookup[(0, 1)]] = k
     return coeffs
+
+
+def monomial_integral_1d(lo: float, hi: float, e: int) -> float:
+    return (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
+
+
+def monomial_integral_exact(domain: BoxDomain, exponents) -> float:
+    """Closed-form integral of prod_j w_j**e_j over the box."""
+    exps = np.atleast_1d(np.asarray(exponents, dtype=np.int64))
+    if np.any(exps < 0):
+        raise ValueError("exponents must be non-negative")
+    out = 1.0
+    for j, e in enumerate(exps):
+        out *= monomial_integral_1d(domain.lo[j], domain.hi[j], int(e))
+    return out
+
+
+def monomial_integral_tables(domain: BoxDomain, max_degree: int) -> np.ndarray:
+    """Per-dimension 1-D monomial integrals, shape (max_degree + 1, d).
+
+    Entry [e, j] is the integral of w_j**e over [lo_j, hi_j]; products of the
+    columns give exact integrals of arbitrary monomials on the box.
+    """
+    table = np.empty((max_degree + 1, domain.d))
+    for j in range(domain.d):
+        for e in range(max_degree + 1):
+            table[e, j] = monomial_integral_1d(domain.lo[j], domain.hi[j], e)
+    return table

@@ -21,9 +21,9 @@ from mmrom.problems import (
     make_van_der_pol,
     system_from_tables,
 )
-from mmrom.quadrature import BoxDomain, monomial_integral_tables
+from mmrom.quadrature import BoxDomain
 
-from oracles import exact_test1_coefficients
+from oracles import exact_test1_coefficients, monomial_integral_tables
 
 
 def make_generic_ladder(n, kappa, generator):

@@ -1,4 +1,7 @@
 """Tests for the benchmark harness bookkeeping."""
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,12 @@ def test_reference_tables_well_formed():
                 assert v is None or v > 0
         kind, tol = spec["criterion"]
         assert kind in ("absolute", "factor") and tol > 0
+
+
+def test_reference_tables_keep_the_published_values():
+    # any change to a reference value, grid, pass rule or W changes the digest
+    digest = hashlib.sha256(json.dumps(REFERENCE_TABLES, sort_keys=True).encode()).hexdigest()
+    assert digest == "33cf061ad361b9c91044b69b1d93d2e20c743a04ee27e105b1380e7b2b19e52a"
 
 
 def test_check_cell_logic():

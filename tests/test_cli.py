@@ -55,6 +55,22 @@ def test_solve_then_residual(tmp_path, ladder_config):
     assert 0 < norm < 1e-2
 
 
+@pytest.mark.parametrize("lo, hi, label", [
+    ([-1.0, -1.0], [1.0, 1.0], "[-1,1]^2"),
+    ([-1.0, -2.0], [1.0, 2.0], "[-1,1]x[-2,2]"),
+], ids=["cube", "box"])
+def test_residual_csv_names_every_side_of_the_domain(tmp_path, ladder_config, lo, hi, label):
+    cfg, _ = ladder_config
+    cfg["domain"] = {"lo": lo, "hi": hi}
+    cfg_path = write_yaml(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--quiet", "solve", "--config", cfg_path]) == EXIT_OK
+    assert main(["--out", str(out), "--quiet", "residual", "--config", cfg_path,
+                 "--coefficients", str(out / "coefficients.txt")]) == EXIT_OK
+    rows = list(csv.reader((out / "residual.csv").read_text().splitlines()))
+    assert rows[1][:3] == [label, "2", "2"]
+
+
 def test_residual_fingerprint_mismatch(tmp_path, ladder_config):
     cfg, cfg_path = ladder_config
     out = tmp_path / "out"
@@ -98,6 +114,21 @@ def test_residual_fingerprint_tells_generic_problems_apart(tmp_path, capsys):
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("stray", ["params", "generic"])
+def test_problem_section_rejects_the_other_kinds_key(tmp_path, capsys, stray):
+    # params belong to a built-in problem, generic tables to a generic one
+    cfg = _generic_config(-1.0, 1.0)
+    if stray == "params":
+        cfg["problem"]["params"] = {"a": 3.0}
+    else:
+        cfg["problem"] = {"name": "rl_linear", "params": {"n": 2},
+                          "generic": cfg["problem"]["generic"]}
+    code = main(["--quiet", "validate", "--config", write_yaml(tmp_path, cfg)])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: problem: unknown key {stray!r}"]
 
 
 def test_residual_fingerprint_ignores_spelling_and_term_order(tmp_path):

@@ -2,13 +2,9 @@
 import numpy as np
 import pytest
 
-from mmrom.quadrature import (
-    BoxDomain,
-    gauss_legendre_1d,
-    monomial_integral_exact,
-    monomial_integral_tables,
-    tensor_rule,
-)
+from mmrom.quadrature import BoxDomain, gauss_legendre_1d, tensor_rule
+
+from oracles import monomial_integral_exact, monomial_integral_tables
 
 
 def test_domain_validation():
