@@ -161,14 +161,14 @@ def cmd_rom(args) -> int:
     return EXIT_OK
 
 
-def cmd_reproduce(args) -> int:
-    results = bench.reproduce_table(args.table)
+def _reproduce(args, table) -> bool:
+    """Run one table, write <table>.csv and print its cells; True if every cell passed."""
+    results = bench.reproduce_table(table)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{args.table}.csv"
+    path = out / f"{table}.csv"
     bench.write_results_csv(path, results)
-    all_pass = all(r.passed for r in results)
-    timing = bench.REFERENCE_TABLES[args.table]["kind"] == "timing"
+    timing = bench.REFERENCE_TABLES[table]["kind"] == "timing"
     for r in results:
         val = "not-converged" if r.value is None else f"{r.value:.4e}"
         if r.error is not None:
@@ -185,7 +185,12 @@ def cmd_reproduce(args) -> int:
                    f"value={val}  reference={ref}  iterations={r.iterations}{digits}  "
                    f"{'pass' if r.passed else 'FAIL'}{outside}{stop}")
     _say(args, f"wrote {path}")
-    return EXIT_OK if all_pass else EXIT_NOT_CONVERGED
+    return all(r.passed for r in results)
+
+
+def cmd_reproduce(args) -> int:
+    passed = [_reproduce(args, table) for table in args.table]
+    return EXIT_OK if all(passed) else EXIT_NOT_CONVERGED
 
 
 def cmd_validate(args) -> int:
@@ -231,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rom.add_argument("--config", required=True)
     p_rom.set_defaults(func=cmd_rom)
 
-    p_rep = sub.add_parser("reproduce", help="reproduce a published benchmark table")
-    p_rep.add_argument("table", choices=bench.TABLE_IDS)
+    p_rep = sub.add_parser("reproduce", help="reproduce published benchmark tables")
+    p_rep.add_argument("table", nargs="+", choices=bench.TABLE_IDS, metavar="table",
+                       help=f"one or more of {', '.join(bench.TABLE_IDS)}")
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_val = sub.add_parser("validate", help="report stability assumption checks")

@@ -4,7 +4,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.signal
 
 from .basis import eval_basis
 from .newton import Solution
@@ -76,6 +75,7 @@ def stabilizing_gain(S: np.ndarray, L: np.ndarray) -> np.ndarray:
     Works through the dual pair (S^T, L^T); raises NotDetectableError when
     unstable or marginal modes are unobservable.
     """
+    import scipy.signal  # most of the package's import time; only a problem without a gain needs it
     S = np.atleast_2d(np.asarray(S, dtype=float))
     L = np.atleast_2d(np.asarray(L, dtype=float))
     d = S.shape[0]

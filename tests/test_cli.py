@@ -358,3 +358,28 @@ def test_reproduce_small_table(tmp_path):
     rows = (out / "T1.csv").read_text().splitlines()
     assert rows[0].startswith("domain")
     assert len(rows) == 4  # header + three degree columns
+
+
+def test_reproduce_several_tables_matches_one_table_runs(tmp_path, capsys):
+    codes, stdout = [], []
+    for table in ("T1", "T2"):
+        codes.append(main(["--out", str(tmp_path / "one"), "reproduce", table]))
+        stdout.append(capsys.readouterr().out)
+    code = main(["--out", str(tmp_path / "both"), "reproduce", "T1", "T2"])
+    assert code == max(codes)
+    assert capsys.readouterr().out == "".join(stdout).replace(
+        str(tmp_path / "one"), str(tmp_path / "both"))
+    for table in ("T1", "T2"):
+        assert (tmp_path / "both" / f"{table}.csv").read_bytes() == \
+            (tmp_path / "one" / f"{table}.csv").read_bytes()
+
+
+def test_reproduce_several_tables_fails_when_any_table_fails(tmp_path, monkeypatch):
+    def cells(table):
+        return [bench.CellResult(half_width=1.0, M=2, n=2, value=0.1, reference=0.1,
+                                 passed=table == "T2", converged=True, seconds=1.0)]
+    monkeypatch.setattr(bench, "reproduce_table", cells)
+    assert main(["--out", str(tmp_path), "--quiet", "reproduce", "T1", "T2"]) == \
+        EXIT_NOT_CONVERGED
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["T1.csv", "T2.csv"]
+    assert main(["--out", str(tmp_path), "--quiet", "reproduce", "T2"]) == EXIT_OK

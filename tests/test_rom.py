@@ -1,7 +1,14 @@
 """Tests for reduced-order model construction and gain selection."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mmrom
 from mmrom.assembly import assemble_operators
 from mmrom.basis import eval_basis, generate_basis
 from mmrom.config import build_gain
@@ -80,6 +87,29 @@ class TestDefaultGain:
         S, L, _ = linearize(prob)
         eigs = np.linalg.eigvals(S - G @ L)
         assert np.max(eigs.real) < 0
+
+    def test_scipy_signal_loads_only_when_a_gain_is_placed(self):
+        # scipy.signal is most of the package's import time and only pole placement needs it
+        script = """
+import json, sys
+import numpy as np
+import mmrom.cli
+from mmrom.problems import make_test1
+from mmrom.rom import default_gain
+before = "scipy.signal" in sys.modules
+G = default_gain(make_test1())(np.zeros(2))
+print(json.dumps({"before": before, "after": "scipy.signal" in sys.modules, "G": G.tolist()}))
+"""
+        src = str(Path(mmrom.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        loaded = json.loads(run.stdout)
+        assert not loaded["before"] and loaded["after"]
+        S, L, _ = linearize(make_test1())
+        eigs = np.linalg.eigvals(S - np.array(loaded["G"]) @ L)
+        assert np.max(eigs.real) <= -GAIN_MARGIN + 1e-8
 
 
 class TestBuildRom:
