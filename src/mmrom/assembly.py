@@ -55,16 +55,13 @@ def default_quadrature_order(problem: Problem, M: int) -> int:
     return 32
 
 
-def assemble_operators(
-    problem: Problem, basis: Basis, domain: BoxDomain, q: int | None = None
-) -> GalerkinOperators:
-    """Assemble the advection matrix and the basis tables of a q-point rule."""
+def assemble_operators(problem: Problem, basis: Basis, domain: BoxDomain) -> GalerkinOperators:
+    """Assemble the advection matrix and the basis tables on the tensor rule
+    of default_quadrature_order points per dimension."""
     if basis.d != domain.d or basis.d != problem.generator.d:
         raise ValueError("basis, domain and generator dimensions disagree")
     gen = problem.generator
-    if q is None:
-        q = default_quadrature_order(problem, basis.M)
-    rule = tensor_rule(domain, q)
+    rule = tensor_rule(domain, default_quadrature_order(problem, basis.M))
     N = basis.size
 
     basis_values = eval_basis(basis, rule.nodes)

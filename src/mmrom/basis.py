@@ -77,33 +77,30 @@ def _power_tables(basis: Basis, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_points(basis: Basis, omega) -> tuple[np.ndarray, bool]:
+def _as_points(basis: Basis, omega) -> np.ndarray:
     pts = np.asarray(omega, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.shape[1] != basis.d:
-        raise ValueError(f"points have dimension {pts.shape[1]}, basis has d={basis.d}")
-    return pts, single
+    if pts.ndim != 2 or pts.shape[1] != basis.d:
+        raise ValueError(f"points must have shape (q, {basis.d}), got {pts.shape}")
+    return pts
 
 
 def eval_basis(basis: Basis, omega) -> np.ndarray:
-    """Evaluate every basis monomial at one point (d,) or many points (q, d)."""
-    pts, single = _as_points(basis, omega)
+    """Evaluate every basis monomial at the points (q, d); returns (q, N)."""
+    pts = _as_points(basis, omega)
     tables = _power_tables(basis, pts)
     vals = np.ones((pts.shape[0], basis.size))
     for j in range(basis.d):
         vals *= tables[basis.exponents[:, j], :, j].T
-    return vals[0] if single else vals
+    return vals
 
 
 def eval_basis_gradient(basis: Basis, omega) -> np.ndarray:
-    """Gradient of every basis monomial: (N, d) at one point, (q, N, d) at many.
+    """Gradient of every basis monomial at the points (q, d); returns (q, N, d).
 
     Entry (k, j) is nu_kj * w_j**(nu_kj - 1) * prod_{i != j} w_i**nu_ki, with
     the convention that a zero exponent contributes a zero derivative.
     """
-    pts, single = _as_points(basis, omega)
+    pts = _as_points(basis, omega)
     tables = _power_tables(basis, pts)
     nq, N, d = pts.shape[0], basis.size, basis.d
     grad = np.empty((nq, N, d))
@@ -115,4 +112,4 @@ def eval_basis_gradient(basis: Basis, omega) -> np.ndarray:
                 continue
             col = col * tables[basis.exponents[:, i], :, i].T
         grad[:, :, j] = col
-    return grad[0] if single else grad
+    return grad

@@ -7,8 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import GalerkinOperators, jacobian_JF, residual_F
+from .basis import Basis
 from .linear import SingularMatrixError, solve_block_tridiagonal, solve_pseudoinverse
 from .problems import Problem
+from .quadrature import BoxDomain
 
 
 @dataclass
@@ -30,13 +32,19 @@ class Solution:
     """Converged (or not) coefficient block with provenance."""
 
     c: np.ndarray
-    iterations: int
-    residual_history: list = field(repr=False)
-    converged: bool
+    residual_history: list = field(repr=False)  # |F|_1 at the guess and after each step
     backend_used: str | None  # solver of the last step; None when no step was taken
-    basis: object = None
-    domain: object = None
-    stop_reason: str | None = None  # "tol", "max_iter" or "non_finite" (|F|_1 not finite)
+    basis: Basis
+    domain: BoxDomain
+    stop_reason: str  # "tol", "max_iter" or "non_finite" (|F|_1 not finite)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history) - 1
 
     def blocks(self, n: int) -> np.ndarray:
         return self.c.reshape(n, -1)
@@ -92,13 +100,5 @@ def solve_invariance(
         stop_reason = "non_finite"
     else:
         stop_reason = "tol" if history[-1] <= opts.tol_F_l1 else "max_iter"
-    return Solution(
-        c=c,
-        iterations=len(history) - 1,
-        residual_history=history,
-        converged=stop_reason == "tol",
-        backend_used=backend,
-        basis=ops.basis,
-        domain=ops.domain,
-        stop_reason=stop_reason,
-    )
+    return Solution(c=c, residual_history=history, backend_used=backend,
+                    basis=ops.basis, domain=ops.domain, stop_reason=stop_reason)

@@ -69,10 +69,11 @@ def read_coefficients(path) -> dict:
         raise ValueError(f"file holds {len(values)} coefficients, expected {n * N}")
     if header.get("ordering") != "graded-lex":
         raise ValueError(f"unsupported basis ordering {header.get('ordering')!r}")
-    domain = BoxDomain(
-        lo=np.array([float(v) for v in header["domain_lo"].split()]),
-        hi=np.array([float(v) for v in header["domain_hi"].split()]),
-    )
+    lo, hi = ([float(v) for v in header[key].split()] for key in ("domain_lo", "domain_hi"))
+    if len(lo) != d or len(hi) != d:
+        raise ValueError(f"domain_lo and domain_hi hold {len(lo)} and {len(hi)} entries, "
+                         f"expected d = {d}")
+    domain = BoxDomain(lo=np.array(lo), hi=np.array(hi))
     return {
         "c": np.array(values),
         "n": n,

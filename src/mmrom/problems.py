@@ -28,12 +28,17 @@ def _sparse_terms(table: dict) -> list:
 
 def _sum_terms(terms, z):
     """sum of coef * prod_j z[j] ** e over the terms, factors multiplied in
-    variable order; ``z`` holds floats (one point) or arrays (a batch)."""
+    variable order; ``z`` holds floats (one point) or arrays (a batch).  Each
+    power is a product of e factors, so that one point and a batch round
+    alike (``**`` goes to libm ``pow`` for floats, to numpy's own for arrays)."""
     total = 0.0
     for coef, factors in terms:
         prod = 1.0
         for j, e in factors:
-            prod = prod * z[j] ** e
+            power = z[j]
+            for _ in range(e - 1):
+                power = power * z[j]
+            prod = prod * power
         total = total + prod * coef
     return total
 

@@ -34,7 +34,7 @@ class BoxDomain:
         return self.lo.shape[0]
 
     @classmethod
-    def cube(cls, half_width: float, d: int = 2) -> "BoxDomain":
+    def cube(cls, half_width: float, d: int) -> "BoxDomain":
         return cls(lo=-half_width * np.ones(d), hi=half_width * np.ones(d))
 
 

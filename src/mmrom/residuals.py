@@ -20,43 +20,34 @@ class ResidualReport:
 
 
 def residual_at(problem: Problem, basis: Basis, c: np.ndarray, omega) -> np.ndarray:
-    """Invariance-equation residual grad(pi_i) . s - f_i at one point (d,) or
-    at points (..., d); returns (n,) or (..., n).
+    """Invariance-equation residual grad(pi_i) . s - f_i at the points omega
+    (K, d); returns (K, n).
 
     Raises ValueError if the dynamics are not finite at some point."""
     gen, sys = problem.generator, problem.system
     C = np.asarray(c, dtype=float).reshape(sys.n, basis.size)
-    omega = np.asarray(omega, dtype=float)
-    pts = omega.reshape(-1, omega.shape[-1])
-    grads = eval_basis_gradient(basis, pts)           # (K, N, d)
-    sl = gen.sl(pts)                                  # (K, d + m)
+    grads = eval_basis_gradient(basis, omega)         # (K, N, d)
+    sl = gen.sl(omega)                                # (K, d + m)
     advect = sum((grads[:, :, j] @ C.T) * sl[:, j:j + 1] for j in range(basis.d))
-    fvals = np.asarray(sys.f(eval_basis(basis, pts) @ C.T, sl[:, basis.d:]), dtype=float)
+    fvals = np.asarray(sys.f(eval_basis(basis, omega) @ C.T, sl[:, basis.d:]), dtype=float)
     finite = np.isfinite(fvals).all(axis=1)
     if not finite.all():
-        raise ValueError(f"non-finite dynamics at omega={pts[~finite][0]}")
-    return (advect - fvals).reshape(omega.shape[:-1] + (sys.n,))
+        raise ValueError(f"non-finite dynamics at omega={omega[~finite][0]}")
+    return advect - fvals
 
 
-def residual_norm(
-    problem: Problem,
-    basis: Basis,
-    c: np.ndarray,
-    W: BoxDomain | None = None,
-    q: int = DEFAULT_NORM_QUADRATURE,
-    solve_domain: BoxDomain | None = None,
-) -> ResidualReport:
-    """Per-component L2 residual norms over W and the coefficient-weighted
+def residual_norm(problem: Problem, basis: Basis, c: np.ndarray, W: BoxDomain,
+                  solve_domain: BoxDomain | None = None) -> ResidualReport:
+    """Per-component L2 residual norms over W, by a tensor Gauss rule of
+    DEFAULT_NORM_QUADRATURE points per dimension, and the coefficient-weighted
     aggregate norm."""
     n = problem.system.n
-    if W is None:
-        W = BoxDomain(lo=-0.7 * np.ones(basis.d), hi=0.7 * np.ones(basis.d))
     if solve_domain is not None and (
         np.any(W.lo < solve_domain.lo) or np.any(W.hi > solve_domain.hi)
     ):
         warnings.warn("residual subdomain extends beyond the solve domain", stacklevel=2)
     C = np.asarray(c, dtype=float).reshape(n, basis.size)
-    rule = tensor_rule(W, q)
+    rule = tensor_rule(W, DEFAULT_NORM_QUADRATURE)
     R = residual_at(problem, basis, C, rule.nodes)
     per_component = np.sqrt(rule.weights @ (R * R))
     block_norms = np.linalg.norm(C, axis=1)

@@ -31,7 +31,7 @@ class Trajectory:
     outputs: np.ndarray  # (T, p)
     outside_domain: int = 0  # stored reduced states outside the ROM's expansion domain
 
-    def to_csv(self, path, label: str = "y"):
+    def to_csv(self, path, label: str):
         p = self.outputs.shape[1]
         header = "t," + ",".join(f"{label}_{i + 1}" for i in range(p))
         data = np.column_stack([self.times, self.outputs])

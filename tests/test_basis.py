@@ -59,7 +59,7 @@ def test_rejects_degenerate_sizes():
 
 def test_eval_basis_single_point():
     basis = generate_basis(2, 2)
-    phi = eval_basis(basis, np.array([0.5, -0.3]))
+    phi = eval_basis(basis, np.array([[0.5, -0.3]]))[0]
     assert np.allclose(phi, [0.5, -0.3, 0.25, -0.15, 0.09], atol=1e-15)
 
 
@@ -69,7 +69,7 @@ def test_eval_basis_many_points_shape_and_rows():
     vals = eval_basis(basis, pts)
     assert vals.shape == (3, basis.size)
     for k, p in enumerate(pts):
-        assert np.allclose(vals[k], eval_basis(basis, p))
+        assert np.allclose(vals[k], eval_basis(basis, p[None])[0])
     assert np.all(vals[2] == 0.0)
 
 
@@ -77,12 +77,12 @@ def test_gradient_matches_finite_differences():
     basis = generate_basis(2, 4)
     rng = np.random.default_rng(7)
     pt = rng.uniform(-0.8, 0.8, size=2)
-    grad = eval_basis_gradient(basis, pt)
+    grad = eval_basis_gradient(basis, pt[None])[0]
     h = 1e-6
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        fd = (eval_basis(basis, pt + e) - eval_basis(basis, pt - e)) / (2 * h)
+        fd = (eval_basis(basis, (pt + e)[None])[0] - eval_basis(basis, (pt - e)[None])[0]) / (2 * h)
         assert np.allclose(grad[:, j], fd, rtol=1e-8, atol=1e-8)
 
 
@@ -91,7 +91,7 @@ def test_gradient_many_points_shape():
     pts = np.random.default_rng(1).uniform(-1, 1, size=(5, 3))
     grads = eval_basis_gradient(basis, pts)
     assert grads.shape == (5, basis.size, 3)
-    assert np.allclose(grads[2], eval_basis_gradient(basis, pts[2]))
+    assert np.allclose(grads[2], eval_basis_gradient(basis, pts[2][None])[0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -227,12 +227,13 @@ def test_invalid_config_values_exit_code(tmp_path, capsys, text):
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
-def _coefficients_without_problem_line(tmp_path, n, d):
+def _coefficients_without_problem_line(tmp_path, n, d, sides=None):
     """A coefficient file for n states over d generator dimensions whose header
-    names no problem, so nothing but n and d ties it to a configuration."""
+    names no problem, so nothing but n and d ties it to a configuration.  Its
+    domain has ``sides`` entries per bound, d unless given."""
     path = tmp_path / "coefficients.txt"
     write_coefficients(path, np.ones(n * basis_count(d, 2)), n=n, d=d, M=2,
-                       domain=BoxDomain.cube(1.0, d=d), fingerprint="")
+                       domain=BoxDomain.cube(1.0, d=sides or d), fingerprint="")
     lines = path.read_text().splitlines()
     path.write_text("\n".join(line for line in lines if not line.startswith("# problem:")) + "\n")
     return str(path)
@@ -250,6 +251,8 @@ def _coefficients_without_problem_line(tmp_path, n, d):
     ({}, ["residual", "--subdomain", "0", "--coefficients", (2, 2)]),
     ({}, ["residual", "--coefficients", (3, 2)]),
     ({}, ["residual", "--coefficients", (2, 3)]),
+    ({}, ["residual", "--coefficients", (2, 2, 1)]),
+    ({}, ["residual", "--coefficients", (2, 2, 3)]),
     ({"rom": {"gain": "chain_linear"}}, ["rom"]),
     ({"rom": {"gain": "chain_vdp"},
       "problem": {"name": "rl_vdp", "params": {"n": 2, "mu": 0.25, "kappa": 1.1}}}, ["rom"]),
@@ -257,6 +260,7 @@ def _coefficients_without_problem_line(tmp_path, n, d):
     ({"rom": {"G": [[0.0], [0.0]]}}, ["rom"]),
 ], ids=["x0_length", "G_broadcasts", "G_shape", "omega0_length", "r0_length", "t_end_equal",
         "t_end_before", "domain_without_hi", "subdomain_zero", "coefficients_n", "coefficients_d",
+        "coefficients_domain_1_bound", "coefficients_domain_3_bounds",
         "gain_chain_linear", "gain_chain_vdp", "rom_c", "G_unstable"])
 def test_inconsistent_inputs_exit_code(tmp_path, ladder_config, capsys, update, command):
     cfg, _ = ladder_config

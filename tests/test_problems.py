@@ -60,6 +60,14 @@ class TestPolyMap:
         pm = PolyMap([{(2, 1): 1.0}, {(0, 4): 1.0}], nvars=2)
         assert pm.max_degree() == 4
 
+    def test_one_point_equals_batch_bitwise(self):
+        # x^3, x^2 y and x^5 + x y^2: the Galerkin quadrature evaluates the
+        # map in batches and the simulation one point at a time
+        pm = PolyMap([{(3, 0): 1.0}, {(2, 1): 1.0}, {(5, 0): 1.0, (1, 2): 1.0}], nvars=2)
+        Z = np.random.default_rng(0).uniform(-3.0, 3.0, size=(20000, 2))
+        assert np.array_equal(np.array([pm(z) for z in Z]), pm(Z))
+        assert np.array_equal(np.array([pm.jacobian(z) for z in Z]), pm.jacobian(Z))
+
 
 def _random_table(rng, kind: str, nvars: int, degree: int) -> dict:
     if kind == "zero":
@@ -123,7 +131,7 @@ class TestTest1:
         rng = np.random.default_rng(0)
         for _ in range(10):
             w = rng.uniform(-1, 1, size=2)
-            assert np.allclose(residual_at(prob, basis, C, w), 0.0, atol=1e-13)
+            assert np.allclose(residual_at(prob, basis, C, w[None])[0], 0.0, atol=1e-13)
 
     def test_linear_part_closed_form(self):
         basis = generate_basis(2, 2)

@@ -134,10 +134,9 @@ class TestBuildRom:
     def test_rejects_unconverged_solution(self):
         prob = make_rl_linear(2)
         sol = _solved(prob)
-        bad = Solution(c=sol.c, iterations=sol.iterations,
-                       residual_history=sol.residual_history, converged=False,
+        bad = Solution(c=sol.c, residual_history=sol.residual_history,
                        backend_used=sol.backend_used, basis=sol.basis,
-                       domain=sol.domain)
+                       domain=sol.domain, stop_reason="max_iter")
         with pytest.raises(ValueError, match="did not converge"):
             build_rom(prob, bad, np.zeros(1), np.zeros((1, 2)))
 

@@ -147,7 +147,7 @@ class TestSteadyStateRms:
     def test_csv_export(self, tmp_path):
         traj = self._traj(np.sin, t_end=1.0, npts=11)
         path = tmp_path / "traj.csv"
-        traj.to_csv(path)
+        traj.to_csv(path, label="y")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,y_1"
         assert len(lines) == 12
