@@ -26,10 +26,6 @@ class Basis:
     def size(self) -> int:
         return self.exponents.shape[0]
 
-    @property
-    def max_exponent(self) -> int:
-        return int(self.exponents.max())
-
     def __post_init__(self):
         self.exponents.setflags(write=False)
 
@@ -53,26 +49,24 @@ def _compositions(total: int, parts: int):
 
 def generate_basis(d: int, M: int) -> Basis:
     """All exponent multi-indices with 1 <= total degree <= M, graded-lex."""
-    if d < 1 or M < 1:
-        raise ValueError(f"require d >= 1 and M >= 1, got d={d}, M={M}")
+    count = basis_count(d, M)  # raises ValueError unless d >= 1 and M >= 1
     indices = []
     for m in range(1, M + 1):
         indices.extend(_compositions(m, d))
     exps = np.array(indices, dtype=np.int64)
-    assert exps.shape[0] == basis_count(d, M)
+    assert exps.shape[0] == count
     return Basis(d=d, M=M, exponents=exps)
 
 
 def _power_tables(basis: Basis, pts: np.ndarray) -> np.ndarray:
     """Per-dimension powers of the evaluation points.
 
-    Returns array of shape (max_exp + 1, npts, d) with entry [e, q, j] equal
-    to pts[q, j] ** e, built by repeated multiplication so that evaluation at
-    integer points is exact.
+    Returns array of shape (M + 1, npts, d) with entry [e, q, j] equal to
+    pts[q, j] ** e, built by repeated multiplication so that evaluation at
+    integer points is exact.  M is the largest exponent of a degree-1..M basis.
     """
-    max_exp = basis.max_exponent
-    out = np.ones((max_exp + 1,) + pts.shape)
-    for e in range(1, max_exp + 1):
+    out = np.ones((basis.M + 1,) + pts.shape)
+    for e in range(1, basis.M + 1):
         out[e] = out[e - 1] * pts
     return out
 

@@ -26,7 +26,7 @@ from .persist import problem_fingerprint, read_coefficients, write_coefficients
 from .problems import check_assumptions
 from .quadrature import BoxDomain
 from .residuals import residual_norm
-from .rom import UnstableGainError, build_rom, reduced_dynamics
+from .rom import NotDetectableError, UnstableGainError, build_rom, reduced_dynamics
 from .simulate import simulate_fom, simulate_rom, steady_state_rms
 
 EXIT_OK = 0
@@ -105,11 +105,14 @@ def cmd_residual(args) -> int:
     if (data["n"], data["d"]) != (problem.system.n, problem.generator.d):
         raise ConfigError(f"{args.coefficients}: n = {data['n']}, d = {data['d']} do not match "
                           f"the configured n = {problem.system.n}, d = {problem.generator.d}")
-    if not args.subdomain > 0:
-        raise ConfigError(f"--subdomain: must be positive, got {args.subdomain:g}")
+    if not 0 < args.subdomain < np.inf:
+        raise ConfigError(f"--subdomain: must be positive and finite, got {args.subdomain:g}")
     basis = generate_basis(data["d"], data["M"])
     W = BoxDomain.cube(args.subdomain, d=data["d"])
-    report = residual_norm(problem, basis, data["c"], W=W, solve_domain=data["domain"])
+    try:
+        report = residual_norm(problem, basis, data["c"], W=W, solve_domain=data["domain"])
+    except ValueError as exc:  # all-zero coefficients, or dynamics not finite on W
+        raise ConfigError(f"residual: {exc}") from exc
     sides = [f"[{lo:g},{hi:g}]" for lo, hi in zip(data["domain"].lo, data["domain"].hi)]
     label = f"{sides[0]}^{data['d']}" if len(set(sides)) == 1 else "x".join(sides)
     out = Path(args.out)
@@ -132,7 +135,7 @@ def cmd_rom(args) -> int:
     problem = build_problem(cfg)
     try:
         dynamics = reduced_dynamics(problem, build_gain(cfg, problem))
-    except UnstableGainError as exc:  # a rom.G that does not stabilize the reduced model
+    except (UnstableGainError, NotDetectableError) as exc:  # no stabilizing gain
         raise ConfigError(f"rom: {exc}") from exc
     t_span, omega0, r0, x0 = build_simulation(cfg, problem)
     solution = _solve_from_config(cfg, problem)
@@ -142,7 +145,10 @@ def cmd_rom(args) -> int:
     fom_traj = simulate_fom(problem, omega0, x0, t_span)
     run = simulate_rom(dynamics, problem.generator, omega0, r0, t_span)
     rom_traj = build_rom(problem, solution, *run)
-    metrics = steady_state_rms(fom_traj, rom_traj)
+    try:
+        metrics = steady_state_rms(fom_traj, rom_traj)
+    except ValueError as exc:  # an output that stays at zero, or more than one output
+        raise ConfigError(f"rom: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fom_traj.to_csv(out / "fom_output.csv", label="y")

@@ -57,6 +57,8 @@ class PolyMap:
         self.nvars = nvars
         self.nout = len(tables)
         self.tables = [dict(t) for t in tables]
+        for e in (e for table in self.tables for e in table if len(e) != nvars):
+            raise ValueError(f"exponent {list(e)} needs {nvars} entries, got {len(e)}")
         self.terms = [_sparse_terms(t) for t in self.tables]
         self.partial_terms = {}
         for i, table in enumerate(self.tables):
@@ -187,6 +189,11 @@ def system_from_tables(n: int, m: int, p: int, f_tables, h_tables) -> FullOrderS
 CHAIN_GAIN_C = 10.0
 
 
+def _first_state(x):
+    """The output y = x_1 of the cart pendulum and the ladder, over (..., n)."""
+    return np.asarray(x, dtype=float)[..., :1]
+
+
 def make_test1(a: float = 2.0) -> Problem:
     """Two-state benchmark with a rotational generator and known solution."""
     if a == 0:
@@ -239,13 +246,9 @@ def make_cart_pendulum(a1: float = 2.0, a2: float = 3.0, k: float = -2.0 / 3.0) 
         return np.stack([np.ones_like(d20), np.ones_like(d20), d20], axis=-1)
 
     gen = SignalGenerator(d=2, m=1, sl=sl, sl_jacobian=sl_jacobian)
-
-    def h(x):
-        return np.asarray(x, dtype=float)[..., :1]
-
     sys = FullOrderSystem(
         n=4, m=1,
-        f=f, h=h,
+        f=f, h=_first_state,
         f_jacobian_x=f_jacobian_x, jacobian_pattern=(np.array([0, 1, 2]), np.array([2, 3, 0])),
     )
     return Problem(generator=gen, system=sys)
@@ -281,12 +284,9 @@ def make_rl_ladder(n: int, kappa: float = 1.1) -> FullOrderSystem:
         vals[..., :n] -= x + x * x
         return vals
 
-    def h(x):
-        return np.asarray(x, dtype=float)[..., :1]
-
     return FullOrderSystem(
         n=n, m=1,
-        f=f, h=h,
+        f=f, h=_first_state,
         f_jacobian_x=f_jacobian_x, jacobian_pattern=(rows, cols), degree=3,
     )
 

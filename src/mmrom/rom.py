@@ -10,8 +10,6 @@ from .newton import Solution
 from .problems import Problem, linearize
 from .simulate import Trajectory
 
-# Central-difference step of the stability check in reduced_dynamics.
-FD_STEP = 1e-6
 # stabilizing_gain places the reduced poles at -GAIN_MARGIN - 0.5 k, k = 0, ..., d - 1.
 GAIN_MARGIN = 0.5
 
@@ -25,11 +23,11 @@ class NotDetectableError(RuntimeError):
 
 
 def reduced_dynamics(problem: Problem, gain: callable) -> callable:
-    """The reduced dynamics (r, u) -> s(r) - g(r) l(r) + g(r) u for the gain
-    g(r), a (d, m) matrix at one reduced state; raises UnstableGainError unless
-    their finite-difference linearization at the origin at u = 0 is stable.
-    They read neither pi^N nor its domain, so one reduced run serves every
-    solution of a problem."""
+    """The reduced dynamics (r, u) -> s(r) - g(r) l(r) + g(r) u for the gain g(r),
+    a (d, m) matrix at one reduced state; raises UnstableGainError unless S - g(0) L,
+    S and L from sl_jacobian(0), is stable.  That is their exact Jacobian at the
+    origin when g is constant, l(0) = 0 or g'(0) = 0, as for every gain mmrom builds.
+    They read neither pi^N nor its domain, so one reduced run serves every solution."""
     gen = problem.generator
     d = gen.d
 
@@ -38,13 +36,8 @@ def reduced_dynamics(problem: Problem, gain: callable) -> callable:
         sl = gen.sl(r)
         return sl[:d] - g @ sl[d:] + g @ u
 
-    u0 = np.zeros(gen.m)
-    J = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = FD_STEP
-        J[:, j] = (dynamics(e, u0) - dynamics(-e, u0)) / (2.0 * FD_STEP)
-    eigs = np.linalg.eigvals(J)
+    J = gen.sl_jacobian(np.zeros(d))
+    eigs = np.linalg.eigvals(J[:d] - gain(np.zeros(d)) @ J[d:])
     if not np.max(eigs.real) < 0.0:
         raise UnstableGainError(f"reduced dynamics unstable at the origin, eigenvalues {eigs}")
     return dynamics

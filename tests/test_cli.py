@@ -100,6 +100,23 @@ def _generic_config(a, b):
     }
 
 
+def _generic_problem(**tables):
+    """The problem section of _generic_config(-1, 1) with some tables replaced."""
+    problem = _generic_config(-1.0, 1.0)["problem"]
+    problem["generic"].update(tables)
+    return problem
+
+
+# omega' = (omega_2 - omega_1^3, -omega_1), v = omega_1: a centre at the origin whose cubic
+# term damps it only at second order, so a zero gain leaves the reduced model marginal
+CUBIC_CENTRE = {"s": [[[[0, 1], 1.0], [[3, 0], -1.0]], [[[1, 0], -1.0]]],
+                "l": [[[[1, 0], 1.0]]]}
+# v = omega_1^2 has L = 0, so no constant gain moves the generator's imaginary poles
+UNDETECTABLE = {"l": [[[[2, 0], 1.0]]]}
+# x' = -x ignores u, so the invariant manifold and the output are identically zero
+ZERO_OUTPUT = {"f": [[[[1, 0], -1.0]]]}
+
+
 def test_residual_fingerprint_tells_generic_problems_apart(tmp_path, capsys):
     solved_path = write_yaml(tmp_path, _generic_config(-1.0, 1.0), name="solved.yaml")
     other_path = write_yaml(tmp_path, _generic_config(-3.0, 5.0), name="other.yaml")
@@ -216,8 +233,13 @@ def test_unknown_config_key_exit_code(tmp_path, ladder_config):
                     "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
     yaml.safe_dump({"problem": {"name": "rl_linear"}, "solver": {"tol_F_l1": True},
                     "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
+    yaml.safe_dump({"problem": _generic_problem(f=[[[[1], -1.0], [[0, 1], 1.0]]]),
+                    "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
+    yaml.safe_dump({"problem": _generic_problem(f=[[[[1, 0, 0], -1.0], [[0, 1], 1.0]]]),
+                    "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "degree": 2}),
 ], ids=["yaml_syntax", "ladder_n1", "max_iter0", "domain_length", "generic_missing_tables",
-        "degree_bool", "max_iter_bool", "tol_nan", "tol_inf", "tol_bool"])
+        "degree_bool", "max_iter_bool", "tol_nan", "tol_inf", "tol_bool",
+        "exponent_too_short", "exponent_too_long"])
 def test_invalid_config_values_exit_code(tmp_path, capsys, text):
     path = tmp_path / "run.yaml"
     path.write_text(text)
@@ -258,10 +280,15 @@ def _coefficients_without_problem_line(tmp_path, n, d, sides=None):
       "problem": {"name": "rl_vdp", "params": {"n": 2, "mu": 0.25, "kappa": 1.1}}}, ["rom"]),
     ({"rom": {"c": 3.0}}, ["rom"]),
     ({"rom": {"G": [[0.0], [0.0]]}}, ["rom"]),
+    ({"rom": {"G": [[0.0], [0.0]]}, "problem": _generic_problem(**CUBIC_CENTRE)}, ["rom"]),
+    ({"problem": _generic_problem(**UNDETECTABLE)}, ["rom"]),
+    ({"problem": _generic_problem(**ZERO_OUTPUT)}, ["rom"]),
+    ({}, ["residual", "--subdomain", "inf", "--coefficients", (2, 2)]),
 ], ids=["x0_length", "G_broadcasts", "G_shape", "omega0_length", "r0_length", "t_end_equal",
         "t_end_before", "domain_without_hi", "subdomain_zero", "coefficients_n", "coefficients_d",
         "coefficients_domain_1_bound", "coefficients_domain_3_bounds",
-        "gain_chain_linear", "gain_chain_vdp", "rom_c", "G_unstable"])
+        "gain_chain_linear", "gain_chain_vdp", "rom_c", "G_unstable", "G_zero_on_cubic_centre",
+        "rom_undetectable_generator", "rom_zero_output", "subdomain_inf"])
 def test_inconsistent_inputs_exit_code(tmp_path, ladder_config, capsys, update, command):
     cfg, _ = ladder_config
     cfg.update(update)
@@ -272,6 +299,20 @@ def test_inconsistent_inputs_exit_code(tmp_path, ladder_config, capsys, update, 
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_residual_of_a_zero_manifold_is_a_config_error(tmp_path, capsys):
+    # solve finds pi = 0 exactly, and a weighted norm over all-zero blocks is undefined
+    cfg_path = write_yaml(tmp_path, {**_generic_config(-1.0, 1.0),
+                                     "problem": _generic_problem(**ZERO_OUTPUT)})
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--quiet", "solve", "--config", cfg_path]) == EXIT_OK
+    assert not read_coefficients(out / "coefficients.txt")["c"].any()
+    code = main(["--out", str(out), "--quiet", "residual", "--config", cfg_path,
+                 "--coefficients", str(out / "coefficients.txt")])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: residual: all coefficient blocks")
 
 
 def test_reproduce_prints_domain_excursions(tmp_path, monkeypatch, capsys):

@@ -13,7 +13,16 @@ from mmrom.assembly import assemble_operators
 from mmrom.basis import eval_basis, generate_basis
 from mmrom.config import build_gain
 from mmrom.newton import Solution, solve_invariance
-from mmrom.problems import CHAIN_GAIN_C, linearize, make_rl_linear, make_rl_vdp, make_test1
+from mmrom.problems import (
+    CHAIN_GAIN_C,
+    Problem,
+    generator_from_tables,
+    linearize,
+    make_rl_linear,
+    make_rl_vdp,
+    make_test1,
+    system_from_tables,
+)
 from mmrom.quadrature import BoxDomain
 from mmrom.rom import (
     GAIN_MARGIN,
@@ -157,3 +166,14 @@ class TestVerifyStability:
         S, L, _ = linearize(prob)
         assert np.max(np.linalg.eigvals(S - prob.gain(np.zeros(2)) @ L).real) < 0
         assert np.allclose(dynamics(np.zeros(2), np.zeros(1)), 0.0)
+
+    def test_zero_gain_on_cubic_centre_is_unstable(self):
+        # s = (w2 - w1^3, -w1) has S - 0 L with eigenvalues +-i; a central difference of the
+        # cubic adds -h^2 to the diagonal and would have passed this centre as stable
+        gen = generator_from_tables(d=2, m=1, s_tables=[{(0, 1): 1.0, (3, 0): -1.0},
+                                                        {(1, 0): -1.0}],
+                                    l_tables=[{(1, 0): 1.0}])
+        system = system_from_tables(n=1, m=1, p=1, f_tables=[{(1, 0): -1.0, (0, 1): 1.0}],
+                                    h_tables=[{(1,): 1.0}])
+        with pytest.raises(UnstableGainError, match="unstable at the origin"):
+            reduced_dynamics(Problem(gen, system), lambda r: np.zeros((2, 1)))
