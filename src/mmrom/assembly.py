@@ -10,15 +10,21 @@ the nodes,
 
 and the Jacobian block of each structural nonzero (i, j) of df/dx is
 -(W B)^T diag(df_i/dx_j) B, plus A on the diagonal blocks.
+
+Each product phi_a phi_b is the monomial of exponent e_a + e_b, one of the
+P = basis_count(d, 2M) monomials of degree 1..2M (P = 90 where N^2 = 729 at
+d = 2, M = 6), so the blocks are contracted against their (K, P) weighted
+values and gathered into N x N by product_index.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Basis, eval_basis, eval_basis_gradient
+from .basis import Basis, eval_basis, eval_basis_gradient, generate_basis
 from .linear import BlockTridiagonal, check_dense_size
 from .problems import Problem
 from .quadrature import BoxDomain, QuadratureRule, tensor_rule
@@ -33,7 +39,8 @@ class GalerkinOperators:
     domain: BoxDomain
     rule: QuadratureRule
     basis_values: np.ndarray = field(repr=False)      # (K, N) basis at nodes
-    basis_products: np.ndarray = field(repr=False)    # (K, N*N) w_k phi_a phi_b at nodes
+    product_moments: np.ndarray = field(repr=False)   # (K, P) w_k times the degree-1..2M monomials
+    product_index: np.ndarray = field(repr=False)     # (N*N,) column of phi_a phi_b, pair a*N + b
     l_values: np.ndarray = field(repr=False)          # (K, m) generator output at nodes
 
     @property
@@ -55,6 +62,22 @@ def default_quadrature_order(problem: Problem, M: int) -> int:
     return 32
 
 
+@functools.cache
+def _product_index(d: int, M: int) -> np.ndarray:
+    """For each pair (a, b) of generate_basis(d, M), flattened a * N + b,
+    the index in generate_basis(d, 2M) of the monomial phi_a phi_b; read-only.
+    Exponent vectors are keyed as radix-(2M + 1) numbers, so the key of a
+    product is the sum of its factors' keys; every key is below (2M + 1)^d."""
+    radix = np.int64(2 * M + 1) ** np.arange(d)
+    keys = generate_basis(d, 2 * M).exponents @ radix
+    basis_keys = generate_basis(d, M).exponents @ radix
+    order = np.argsort(keys)
+    pair_keys = (basis_keys[:, None] + basis_keys[None, :]).ravel()
+    index = order[np.searchsorted(keys, pair_keys, sorter=order)]
+    index.setflags(write=False)
+    return index
+
+
 def assemble_operators(problem: Problem, basis: Basis, domain: BoxDomain) -> GalerkinOperators:
     """Assemble the advection matrix and the basis tables on the tensor rule
     of default_quadrature_order points per dimension."""
@@ -64,9 +87,12 @@ def assemble_operators(problem: Problem, basis: Basis, domain: BoxDomain) -> Gal
     rule = tensor_rule(domain, default_quadrature_order(problem, basis.M))
     N = basis.size
 
-    basis_values = eval_basis(basis, rule.nodes)
+    products = generate_basis(basis.d, 2 * basis.M)
+    product_values = eval_basis(products, rule.nodes)
+    # graded order: the basis is the first N monomials of degree 1..2M
+    basis_values = np.ascontiguousarray(product_values[:, :N])
     weighted_basis = basis_values * rule.weights[:, None]
-    basis_products = (weighted_basis[:, :, None] * basis_values[:, None, :]).reshape(-1, N * N)
+    product_moments = product_values * rule.weights[:, None]
     sl_values = np.asarray(gen.sl(rule.nodes), dtype=float)
     s_values, l_values = sl_values[:, :gen.d], sl_values[:, gen.d:]
 
@@ -80,7 +106,8 @@ def assemble_operators(problem: Problem, basis: Basis, domain: BoxDomain) -> Gal
 
     return GalerkinOperators(
         A=A, basis=basis, domain=domain, rule=rule,
-        basis_values=basis_values, basis_products=basis_products, l_values=l_values,
+        basis_values=basis_values, product_moments=product_moments,
+        product_index=_product_index(basis.d, basis.M), l_values=l_values,
     )
 
 
@@ -95,8 +122,11 @@ def residual_F(problem: Problem, ops: GalerkinOperators, c: np.ndarray) -> np.nd
 
 def _blocks(ops: GalerkinOperators, vals: np.ndarray, plus=None) -> np.ndarray:
     """plus - (W B)^T diag(vals[:, e]) B for every column e of vals, shape
-    (E, N, N); plus is an (N, N) block, zero when None."""
-    out = (vals.T @ ops.basis_products).reshape(-1, ops.size, ops.size)
+    (E, N, N); plus is an (N, N) block, zero when None.  vals.T is copied
+    to C order so that a strided band column and a contiguous one take the
+    same BLAS kernel and give the same bits."""
+    moments = np.ascontiguousarray(vals.T) @ ops.product_moments          # (E, P)
+    out = np.take(moments, ops.product_index, axis=1).reshape(-1, ops.size, ops.size)
     if plus is None:
         return np.negative(out, out=out)  # in place: no second copy of the blocks
     return np.subtract(plus, out, out=out)

@@ -8,6 +8,7 @@ and Jacobian block layouts depend on it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,8 +48,10 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+@functools.cache
 def generate_basis(d: int, M: int) -> Basis:
-    """All exponent multi-indices with 1 <= total degree <= M, graded-lex."""
+    """All exponent multi-indices with 1 <= total degree <= M, graded-lex.
+    Cached: a Basis is frozen and its exponents are read-only."""
     count = basis_count(d, M)  # raises ValueError unless d >= 1 and M >= 1
     indices = []
     for m in range(1, M + 1):

@@ -11,7 +11,7 @@ from mmrom.assembly import (
     jacobian_JF,
     residual_F,
 )
-from mmrom.basis import generate_basis
+from mmrom.basis import basis_count, eval_basis, generate_basis
 from mmrom.problems import (
     Problem,
     generator_from_tables,
@@ -97,8 +97,36 @@ def test_mass_matrix_1d_hand_values():
                              h_tables=[{(1,): 1.0}])
     ops = assemble_operators(Problem(generator=gen, system=sys), basis, dom)
     # basis (w, w^2) on [-1, 1]: entries are 1-D monomial integrals
-    mass = ops.basis_products.sum(axis=0).reshape(2, 2)
+    mass = ops.product_moments[:, ops.product_index].sum(axis=0).reshape(2, 2)
     assert np.allclose(mass, [[2.0 / 3.0, 0.0], [0.0, 2.0 / 5.0]], atol=1e-14)
+
+
+def _scalar_problem(d):
+    """x' = -x + u driven by the rotation-free generator s = -w, l = w_1."""
+    gen = generator_from_tables(
+        d=d, m=1,
+        s_tables=[{tuple(int(i == k) for i in range(d)): -1.0} for k in range(d)],
+        l_tables=[{tuple(int(i == 0) for i in range(d)): 1.0}],
+    )
+    sys = system_from_tables(n=1, m=1, p=1, f_tables=[{(1, 0): -1.0, (0, 1): 1.0}],
+                             h_tables=[{(1,): 1.0}])
+    return Problem(generator=gen, system=sys)
+
+
+@pytest.mark.parametrize("d,M", [(1, 5), (2, 4), (3, 3)])
+def test_product_moments_gather_the_basis_products(d, M):
+    basis = generate_basis(d, M)
+    dom = BoxDomain(lo=[-1.0, -0.5, -2.0][:d], hi=[1.5, 1.0, 0.5][:d])
+    ops = assemble_operators(_scalar_problem(d), basis, dom)
+    # one column per monomial of degree 1..2M, not one per pair
+    assert ops.product_moments.shape == (ops.rule.weights.size, basis_count(d, 2 * M))
+    assert ops.product_index.shape == (basis.size ** 2,)
+    B = ops.basis_values
+    assert np.array_equal(B, eval_basis(basis, ops.rule.nodes))
+    WB = B * ops.rule.weights[:, None]
+    explicit = (WB[:, :, None] * B[:, None, :]).reshape(-1, basis.size ** 2)
+    gathered = ops.product_moments[:, ops.product_index]
+    assert np.all(np.abs(gathered - explicit) <= 1e-15 * np.abs(explicit))
 
 
 def test_advection_matrix_hand_values():
@@ -173,7 +201,7 @@ def test_triple_tensor_hand_values():
     dom = BoxDomain.cube(1.0, d=2)
     ops = assemble_operators(prob, basis, dom)
     N, E = basis.size, basis.exponents
-    B, BB = ops.basis_values, ops.basis_products
+    B, BB = ops.basis_values, ops.product_moments[:, ops.product_index]
     triple = (BB.T @ B).reshape(N, N, N)
     quad = (BB.T @ (B[:, :, None] * B[:, None, :]).reshape(-1, N * N)).reshape(N, N, N, N)
     exact3 = _exact_integrals(dom, E[:, None, None, :] + E[None, :, None, :] + E[None, None, :, :])
@@ -342,6 +370,20 @@ def test_jacobian_pattern_and_JF_on_random_sparse_tables(n, degree, seed):
     assert np.abs(J.to_dense() - fdJ).max() <= 1e-5 * max(np.abs(fdJ).max(), 1.0)
 
 
+def _dense_reference(prob, ops, c):
+    """-(W B)^T df_i/dx_j B for every block (i, j), plus A on the diagonal,
+    from the full df/dx at the nodes."""
+    n, N = prob.system.n, ops.size
+    rows, cols = prob.system.jacobian_pattern
+    X = ops.basis_values @ c.reshape(n, N).T
+    dfdx = np.zeros((X.shape[0], n, n))
+    dfdx[:, rows, cols] = prob.system.f_jacobian_x(X, ops.l_values)
+    WB = ops.basis_values * ops.rule.weights[:, None]
+    ref = -np.einsum("ka,kij,kb->iajb", WB, dfdx, ops.basis_values)
+    ref[np.arange(n), :, np.arange(n), :] += ops.A
+    return ref.reshape(n * N, n * N)
+
+
 def test_ladder_jacobian_shares_constant_bands():
     prob = make_rl_vdp(5)
     n = prob.system.n
@@ -353,13 +395,18 @@ def test_ladder_jacobian_shares_constant_bands():
     # the unit couplings are one contracted block, seen through a stride-0 view
     assert J.sub.strides[0] == 0 and J.sup.strides[0] == 0
     assert J.diag.strides[0] != 0
-    # dense reference: every block (i, j) built from the full df/dx at the nodes
-    rows, cols = prob.system.jacobian_pattern
-    X = ops.basis_values @ c.reshape(n, N).T
-    dfdx = np.zeros((X.shape[0], n, n))
-    dfdx[:, rows, cols] = prob.system.f_jacobian_x(X, ops.l_values)
-    WB = ops.basis_values * ops.rule.weights[:, None]
-    ref = -np.einsum("ka,kij,kb->iajb", WB, dfdx, ops.basis_values)
-    ref[np.arange(n), :, np.arange(n), :] += ops.A
-    ref = ref.reshape(n * N, n * N)
+    ref = _dense_reference(prob, ops, c)
+    assert np.allclose(J.to_dense(), ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_cart_pendulum_dense_jacobian_matches_reference():
+    # the cart pendulum couples beyond the first off-diagonal: one dense block
+    prob = make_cart_pendulum()
+    n = prob.system.n
+    basis = generate_basis(2, 4)
+    ops = assemble_operators(prob, basis, BoxDomain.cube(1.0, d=2))
+    c = np.random.default_rng(6).normal(scale=0.3, size=n * basis.size)
+    J = jacobian_JF(prob, ops, c)
+    assert J.nblocks == 1
+    ref = _dense_reference(prob, ops, c)
     assert np.allclose(J.to_dense(), ref, rtol=0, atol=1e-13 * np.abs(ref).max())

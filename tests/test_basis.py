@@ -109,3 +109,10 @@ def test_generation_is_deterministic():
     a = generate_basis(3, 5)
     b = generate_basis(3, 5)
     assert np.array_equal(a.exponents, b.exponents)
+
+
+def test_generation_is_cached_and_read_only():
+    basis = generate_basis(2, 3)
+    assert generate_basis(2, 3) is basis
+    with pytest.raises(ValueError):
+        basis.exponents[0, 0] = 7

@@ -301,6 +301,23 @@ def test_inconsistent_inputs_exit_code(tmp_path, ladder_config, capsys, update, 
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_residual_on_an_overflowing_subdomain_reports_only_the_cause(tmp_path, ladder_config,
+                                                                     capsys):
+    # W = [-1e200, 1e200]^2 overflows the rule's weights and the basis powers;
+    # the finiteness check names the cause, with no numpy warning before it
+    _, cfg_path = ladder_config
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--quiet", "solve", "--config", cfg_path]) == EXIT_OK
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="beyond the solve domain"):
+        code = main(["--out", str(out), "--quiet", "residual", "--config", cfg_path,
+                     "--coefficients", str(out / "coefficients.txt"), "--subdomain", "1e200"])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: residual: non-finite")
+
+
 def test_residual_of_a_zero_manifold_is_a_config_error(tmp_path, capsys):
     # solve finds pi = 0 exactly, and a weighted norm over all-zero blocks is undefined
     cfg_path = write_yaml(tmp_path, {**_generic_config(-1.0, 1.0),
