@@ -139,17 +139,20 @@ def cmd_rom(args) -> int:
     except (UnstableGainError, NotDetectableError) as exc:  # no stabilizing gain
         raise ConfigError(f"rom: {exc}") from exc
     t_span, omega0, r0, x0 = build_simulation(cfg, problem)
+    fom_traj = simulate_fom(problem, omega0, x0, t_span)
+    # an output that cannot be scored is refused before the solve; the reduced run
+    # covers the same span, so scoring it against this one cannot fail afterwards
+    try:
+        steady_state_rms(fom_traj, fom_traj)
+    except ValueError as exc:  # an output that stays at zero, or more than one output
+        raise ConfigError(f"rom: {exc}") from exc
     solution = _solve_from_config(cfg, problem)
     if not solution.converged:
         _say(args, "invariance solve did not converge; cannot build the reduced model")
         return EXIT_NOT_CONVERGED
-    fom_traj = simulate_fom(problem, omega0, x0, t_span)
     run = simulate_rom(dynamics, problem.generator, omega0, r0, t_span)
     rom_traj = build_rom(problem, solution, *run)
-    try:
-        metrics = steady_state_rms(fom_traj, rom_traj)
-    except ValueError as exc:  # an output that stays at zero, or more than one output
-        raise ConfigError(f"rom: {exc}") from exc
+    metrics = steady_state_rms(fom_traj, rom_traj)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fom_traj.to_csv(out / "fom_output.csv", label="y")

@@ -9,10 +9,10 @@ section may choose other initial states and another span.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .problems import Problem
 
@@ -38,8 +38,20 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
+def __getattr__(name):
+    """Import scipy.integrate (with the scipy.optimize it loads) on the first
+    integration, so a process that only solves does not pay for it."""
+    if name != "solve_ivp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import solve_ivp
+    globals()["solve_ivp"] = solve_ivp
+    return solve_ivp
+
+
 def _integrate(rhs, z0: np.ndarray, t_span) -> tuple[np.ndarray, np.ndarray]:
-    sol = solve_ivp(rhs, t_span, z0, method="RK45", rtol=RK45_TOL, atol=RK45_TOL)
+    # through the module attribute, so a wrapper set on mmrom.simulate.solve_ivp runs
+    sol = sys.modules[__name__].solve_ivp(rhs, t_span, z0, method="RK45",
+                                          rtol=RK45_TOL, atol=RK45_TOL)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     return sol.t, sol.y.T

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mmrom import bench
+from mmrom import bench, cli
 from mmrom.basis import basis_count
 from mmrom.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, _fingerprint, main
 from mmrom.persist import read_coefficients, write_coefficients
@@ -299,6 +299,23 @@ def test_inconsistent_inputs_exit_code(tmp_path, ladder_config, capsys, update, 
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_rom_refuses_a_zero_output_before_the_solve(tmp_path, monkeypatch, capsys):
+    # the full-order run already shows that the output cannot be scored, so no Newton solve
+    solve, calls = cli.solve_invariance, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_invariance", counting)
+    cfg_path = write_yaml(tmp_path, {**_generic_config(-1.0, 1.0),
+                                     "problem": _generic_problem(**ZERO_OUTPUT)})
+    code = main(["--out", str(tmp_path / "out"), "--quiet", "rom", "--config", cfg_path])
+    assert code == EXIT_CONFIG_ERROR and calls == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: rom: degenerate signal")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,8 +1,16 @@
 """Tests for time integration and steady-state error metrics."""
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
+
+import mmrom.simulate
 
 from mmrom.assembly import assemble_operators
 from mmrom.basis import generate_basis
@@ -50,6 +58,47 @@ class TestIntegrators:
         _, states = _integrate(rhs, np.array([1.0, 0.0]), (0.0, 20.0))
         energy = 0.5 * (states[:, 0] ** 2 + states[:, 1] ** 2)
         assert np.max(np.abs(energy - energy[0])) < 1e-6
+
+
+class TestLazySolver:
+    def test_scipy_integrate_loads_on_the_first_integration(self):
+        # a process that only solves does not import scipy.integrate and its scipy.optimize
+        script = """
+import json, sys
+import numpy as np
+import mmrom.cli
+from mmrom import bench
+from mmrom.problems import make_rl_linear
+from mmrom.simulate import simulate_fom
+bench.run_residual_cell(bench.REFERENCE_TABLES["T1"], 1.0, 2)
+before = "scipy.integrate" in sys.modules
+simulate_fom(make_rl_linear(2), omega0=(0.1, 0.2), x0=np.zeros(2), t_span=(0.0, 1.0))
+print(json.dumps({"before": before, "after": "scipy.integrate" in sys.modules}))
+"""
+        src = str(Path(mmrom.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        assert json.loads(run.stdout) == {"before": False, "after": True}
+
+    def test_integration_calls_the_module_attribute(self, monkeypatch):
+        # a wrapper set on mmrom.simulate.solve_ivp (as perfbench's tracer sets one) runs
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return scipy.integrate.solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(mmrom.simulate, "solve_ivp", counting)
+        simulate_fom(make_rl_linear(2), omega0=OMEGA0, x0=np.zeros(2), t_span=(0.0, 1.0))
+        assert calls == [(0.0, 1.0)]
+
+    def test_solver_name_resolves_to_scipy(self):
+        from mmrom.simulate import solve_ivp
+        assert solve_ivp is scipy.integrate.solve_ivp
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mmrom.simulate.no_such_name
 
 
 class TestEndToEnd:
