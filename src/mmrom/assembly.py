@@ -14,7 +14,8 @@ and the Jacobian block of each structural nonzero (i, j) of df/dx is
 Each product phi_a phi_b is the monomial of exponent e_a + e_b, one of the
 P = basis_count(d, 2M) monomials of degree 1..2M (P = 90 where N^2 = 729 at
 d = 2, M = 6), so the blocks are contracted against their (K, P) weighted
-values and gathered into N x N by product_index.
+values and gathered into N x N by product_index.  In graded order the basis
+is the first N of those monomials, so the first N columns are W B.
 """
 from __future__ import annotations
 
@@ -89,10 +90,9 @@ def assemble_operators(problem: Problem, basis: Basis, domain: BoxDomain) -> Gal
 
     products = generate_basis(basis.d, 2 * basis.M)
     product_values = eval_basis(products, rule.nodes)
-    # graded order: the basis is the first N monomials of degree 1..2M
     basis_values = np.ascontiguousarray(product_values[:, :N])
-    weighted_basis = basis_values * rule.weights[:, None]
     product_moments = product_values * rule.weights[:, None]
+    weighted_basis = product_moments[:, :N]
     sl_values = np.asarray(gen.sl(rule.nodes), dtype=float)
     s_values, l_values = sl_values[:, :gen.d], sl_values[:, gen.d:]
 
@@ -116,8 +116,7 @@ def residual_F(problem: Problem, ops: GalerkinOperators, c: np.ndarray) -> np.nd
     n = problem.system.n
     C = np.asarray(c, dtype=float).reshape(n, ops.size)
     fvals = problem.system.f(ops.basis_values @ C.T, ops.l_values)       # (K, n)
-    weighted_basis = ops.basis_values * ops.rule.weights[:, None]
-    return (C @ ops.A.T - fvals.T @ weighted_basis).ravel()
+    return (C @ ops.A.T - fvals.T @ ops.product_moments[:, :ops.size]).ravel()
 
 
 def _blocks(ops: GalerkinOperators, vals: np.ndarray, plus=None) -> np.ndarray:

@@ -17,7 +17,7 @@ from .problems import BUILTINS, Problem
 from .quadrature import BoxDomain
 from .residuals import residual_norm
 from .rom import build_rom, default_gain, reduced_dynamics
-from .simulate import OMEGA0, R0, Trajectory, simulate_fom, simulate_rom, steady_state_rms
+from .simulate import OMEGA0, R0, T_SPAN, Trajectory, simulate_fom, simulate_rom, steady_state_rms
 
 HALF_WIDTHS = (1.0, 2.0, 3.0)
 DEGREES = (2, 4, 6)
@@ -137,53 +137,59 @@ def _check_cell(value, reference, converged, criterion) -> bool:
     return reference / limit <= value <= reference * limit
 
 
-def run_residual_cell(spec: dict, half_width: float, M: int) -> CellResult:
+def _run_cell(spec: dict, half_width: float, M: int, score) -> CellResult:
+    """Solve one grid cell and record it; score(problem, solution) gives a converged
+    solution's value and its count of reduced states outside the expansion domain."""
     problem = make_benchmark_problem(spec["problem"], spec["n"])
     solution, seconds = solve_benchmark(problem, half_width, M)
-    value = None
-    if solution.converged:
-        W = BoxDomain.cube(spec["W_half"], d=problem.generator.d)
-        value = residual_norm(problem, solution.basis, solution.c, W=W).weighted_norm
+    value, outside = score(problem, solution) if solution.converged else (None, 0)
     ref = _reference(spec, half_width, M)
-    return CellResult(
-        half_width=half_width, M=M, n=spec["n"], value=value, reference=ref,
-        passed=_check_cell(value, ref, solution.converged, spec["criterion"]),
-        converged=solution.converged, seconds=seconds, iterations=solution.iterations,
-        stop_reason=solution.stop_reason,
-    )
-
-
-@functools.cache
-def _rom_runs(name: str, n: int) -> tuple[Trajectory, tuple[np.ndarray, np.ndarray]]:
-    """The full-order run that each ROM cell of a problem is scored against, and the
-    stored times and reduced states that it evaluates its output on.  Neither
-    depends on (hw, M): the reduced dynamics read only the generator and the
-    problem's gain, not pi^N or its domain.  So a process integrates both once per
-    problem and shares them read-only."""
-    problem = make_benchmark_problem(name, n)
-    fom = simulate_fom(problem, omega0=OMEGA0, x0=np.zeros(n))
-    dynamics = reduced_dynamics(problem, default_gain(problem))
-    reduced = simulate_rom(dynamics, problem.generator, omega0=OMEGA0, r0=R0)
-    for array in (fom.times, fom.outputs, *reduced):
-        array.setflags(write=False)
-    return fom, reduced
-
-
-def run_rom_cell(spec: dict, half_width: float, M: int) -> CellResult:
-    problem = make_benchmark_problem(spec["problem"], spec["n"])
-    solution, seconds = solve_benchmark(problem, half_width, M)
-    ref = _reference(spec, half_width, M)
-    value, outside = None, 0
-    if solution.converged:
-        fom, reduced = _rom_runs(spec["problem"], spec["n"])
-        red = build_rom(problem, solution, *reduced)
-        value, outside = steady_state_rms(fom, red)["relative_rms"], red.outside_domain
     return CellResult(
         half_width=half_width, M=M, n=spec["n"], value=value, reference=ref,
         passed=_check_cell(value, ref, solution.converged, spec["criterion"]),
         converged=solution.converged, seconds=seconds, outside_domain=outside,
         iterations=solution.iterations, stop_reason=solution.stop_reason,
     )
+
+
+def run_residual_cell(spec: dict, half_width: float, M: int) -> CellResult:
+    def score(problem, solution):
+        W = BoxDomain.cube(spec["W_half"], d=problem.generator.d)
+        return residual_norm(problem, solution.basis, solution.c, W=W).weighted_norm, 0
+
+    return _run_cell(spec, half_width, M, score)
+
+
+def rom_experiment(problem: Problem, gain: callable, t_span, omega0, r0, x0) -> tuple:
+    """The full-order Trajectory from (omega0, x0) and the reduced run's stored times
+    and states from (omega0, r0), over t_span and read-only.  Raises UnstableGainError
+    unless the gain stabilizes the reduced dynamics, and ValueError, before the
+    reduced run, for an output that steady_state_rms cannot score."""
+    dynamics = reduced_dynamics(problem, gain)
+    fom = simulate_fom(problem, omega0, x0, t_span)
+    steady_state_rms(fom, fom)  # the reduced run covers the same span, so its score cannot fail
+    reduced = simulate_rom(dynamics, problem.generator, omega0, r0, t_span)
+    for array in (fom.times, fom.outputs, *reduced):
+        array.setflags(write=False)
+    return fom, reduced
+
+
+@functools.cache
+def _rom_runs(name: str, n: int) -> tuple[Trajectory, tuple[np.ndarray, np.ndarray]]:
+    """The benchmark's rom_experiment for a problem, run once per process and shared
+    by all its ROM cells: the reduced dynamics read only the generator and the
+    problem's gain, not pi^N or its domain, so neither run depends on (hw, M)."""
+    problem = make_benchmark_problem(name, n)
+    return rom_experiment(problem, default_gain(problem), T_SPAN, OMEGA0, R0, np.zeros(n))
+
+
+def run_rom_cell(spec: dict, half_width: float, M: int) -> CellResult:
+    def score(problem, solution):
+        fom, reduced = _rom_runs(spec["problem"], spec["n"])
+        red = build_rom(problem, solution, *reduced)
+        return steady_state_rms(fom, red)["relative_rms"], red.outside_domain
+
+    return _run_cell(spec, half_width, M, score)
 
 
 def run_timing_row(spec: dict, n: int) -> CellResult:

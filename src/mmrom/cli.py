@@ -26,8 +26,8 @@ from .persist import problem_fingerprint, read_coefficients, write_coefficients
 from .problems import check_assumptions
 from .quadrature import BoxDomain
 from .residuals import residual_norm
-from .rom import NotDetectableError, UnstableGainError, build_rom, reduced_dynamics
-from .simulate import simulate_fom, simulate_rom, steady_state_rms
+from .rom import NotDetectableError, UnstableGainError, build_rom
+from .simulate import steady_state_rms
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
@@ -134,24 +134,18 @@ def cmd_residual(args) -> int:
 def cmd_rom(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
-    try:
-        dynamics = reduced_dynamics(problem, build_gain(cfg, problem))
-    except (UnstableGainError, NotDetectableError) as exc:  # no stabilizing gain
-        raise ConfigError(f"rom: {exc}") from exc
-    t_span, omega0, r0, x0 = build_simulation(cfg, problem)
-    fom_traj = simulate_fom(problem, omega0, x0, t_span)
-    # an output that cannot be scored is refused before the solve; the reduced run
-    # covers the same span, so scoring it against this one cannot fail afterwards
-    try:
-        steady_state_rms(fom_traj, fom_traj)
-    except ValueError as exc:  # an output that stays at zero, or more than one output
+    try:  # before the solve: no stabilizing gain, or an output at zero or not scalar
+        fom_traj, reduced = bench.rom_experiment(problem, build_gain(cfg, problem),
+                                                 *build_simulation(cfg, problem))
+    except ConfigError:  # a bad rom.G or simulation entry, already named by its section
+        raise
+    except (UnstableGainError, NotDetectableError, ValueError) as exc:
         raise ConfigError(f"rom: {exc}") from exc
     solution = _solve_from_config(cfg, problem)
     if not solution.converged:
         _say(args, "invariance solve did not converge; cannot build the reduced model")
         return EXIT_NOT_CONVERGED
-    run = simulate_rom(dynamics, problem.generator, omega0, r0, t_span)
-    rom_traj = build_rom(problem, solution, *run)
+    rom_traj = build_rom(problem, solution, *reduced)
     metrics = steady_state_rms(fom_traj, rom_traj)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -46,8 +46,8 @@ class Solution:
     def iterations(self) -> int:
         return len(self.residual_history) - 1
 
-    def blocks(self, n: int) -> np.ndarray:
-        return self.c.reshape(n, -1)
+    def blocks(self) -> np.ndarray:
+        return self.c.reshape(-1, self.basis.size)
 
 
 def newton_step(JF, F: np.ndarray, backend: str) -> np.ndarray:

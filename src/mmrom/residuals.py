@@ -25,6 +25,7 @@ def residual_at(problem: Problem, basis: Basis, c: np.ndarray, omega) -> np.ndar
 
     Raises ValueError if the dynamics are not finite at some point."""
     gen, sys = problem.generator, problem.system
+    omega = np.asarray(omega, dtype=float)
     C = np.asarray(c, dtype=float).reshape(sys.n, basis.size)
     grads = eval_basis_gradient(basis, omega)         # (K, N, d)
     sl = gen.sl(omega)                                # (K, d + m)

@@ -57,7 +57,7 @@ def build_rom(problem: Problem, solution: Solution, times: np.ndarray,
         warnings.warn(f"reduced state left the expansion domain at {outside} of {len(times)} "
                       f"stored states (largest |r_i| = {np.abs(r_states).max():.3g}); "
                       "output values are extrapolated", stacklevel=2)
-    C = solution.blocks(problem.system.n)
+    C = solution.blocks()
     outputs = problem.system.h(eval_basis(solution.basis, r_states) @ C.T)
     return Trajectory(times=times, outputs=outputs, outside_domain=outside)
 

@@ -52,7 +52,7 @@ def test_criterion_1_exact_recovery_known_solution(capsys):
         norm = residual_norm(problem, basis, sol.c, W=BoxDomain.cube(1.0, d=2)).weighted_norm
         elapsed = time.perf_counter() - start
         exact = exact_test1_coefficients(basis, 2.0)
-        coeff_err = np.abs(sol.blocks(2) - exact).max()
+        coeff_err = np.abs(sol.blocks() - exact).max()
         if not (sol.converged and norm <= 1e-10 and coeff_err <= 1e-9 and elapsed < 10.0):
             failures.append(f"M={M}: norm={norm:.2e} coeff_err={coeff_err:.2e} t={elapsed:.1f}s")
     report(capsys, 1, not failures,
@@ -70,7 +70,7 @@ def test_criterion_2_exact_recovery_transcendental(capsys):
         norm = residual_norm(problem, basis, sol.c, W=BoxDomain.cube(1.0, d=2)).weighted_norm
         elapsed = time.perf_counter() - start
         exact = exact_cart_pendulum_coefficients(basis, -2.0 / 3.0)
-        coeff_err = np.abs(sol.blocks(4) - exact).max()
+        coeff_err = np.abs(sol.blocks() - exact).max()
         if not (sol.converged and sol.backend_used == "pseudoinverse"
                 and norm <= 1e-6 and coeff_err <= 1e-5 and elapsed < 60.0):
             failures.append(f"M={M}: norm={norm:.2e} coeff_err={coeff_err:.2e} t={elapsed:.1f}s "
@@ -187,7 +187,7 @@ def test_criterion_9_sylvester_oracle_equivalence(capsys):
         Pi = solve_sylvester(S, L, A, B)
         ops = assemble_operators(prob, basis, BoxDomain.cube(1.0, d=2))
         sol = solve_invariance(prob, ops)
-        C = sol.blocks(prob.system.n)
+        C = sol.blocks()
         lin_err = np.abs(C[:, :2] - Pi).max() / max(np.abs(Pi).max(), 1e-30)
         high = np.abs(C[:, 2:]).max()
         if not (sol.converged and lin_err <= 1e-8 and high <= 1e-8):

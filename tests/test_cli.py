@@ -301,15 +301,21 @@ def test_inconsistent_inputs_exit_code(tmp_path, ladder_config, capsys, update, 
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
-def test_rom_refuses_a_zero_output_before_the_solve(tmp_path, monkeypatch, capsys):
-    # the full-order run already shows that the output cannot be scored, so no Newton solve
-    solve, calls = cli.solve_invariance, []
+def _count_calls(monkeypatch, module, name):
+    """Replace module's ``name`` by a wrapper that records each call."""
+    run, calls = getattr(module, name), []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return solve(*args, **kwargs)
+        return run(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve_invariance", counting)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_rom_refuses_a_zero_output_before_the_solve(tmp_path, monkeypatch, capsys):
+    # the full-order run already shows that the output cannot be scored, so no Newton solve
+    calls = _count_calls(monkeypatch, cli, "solve_invariance")
     cfg_path = write_yaml(tmp_path, {**_generic_config(-1.0, 1.0),
                                      "problem": _generic_problem(**ZERO_OUTPUT)})
     code = main(["--out", str(tmp_path / "out"), "--quiet", "rom", "--config", cfg_path])
@@ -396,6 +402,39 @@ def test_rom_pipeline(tmp_path, ladder_config):
     assert header == "rms_error,amplitude,relative_rms"
     rel = float(row.split(",")[2])
     assert 0 < rel < 0.1
+
+
+def test_rom_integrates_through_the_one_rom_experiment(tmp_path, ladder_config, monkeypatch):
+    # mmrom rom runs bench.rom_experiment: one full-order and one reduced integration
+    calls = [_count_calls(monkeypatch, bench, name) for name in ("simulate_fom", "simulate_rom")]
+    _, cfg_path = ladder_config
+    assert main(["--out", str(tmp_path / "out"), "--quiet", "rom", "--config", cfg_path]) == EXIT_OK
+    assert [len(c) for c in calls] == [1, 1]
+
+
+def test_rom_that_does_not_converge_writes_nothing(tmp_path, ladder_config, capsys):
+    cfg, _ = ladder_config
+    cfg["solver"] = {"max_iter": 1}
+    cfg_path = write_yaml(tmp_path, cfg, name="capped.yaml")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "rom", "--config", cfg_path]) == EXIT_NOT_CONVERGED
+    assert "invariance solve did not converge" in capsys.readouterr().out
+    assert not any((out / name).exists() for name in
+                   ("fom_output.csv", "rom_output.csv", "output_error.csv", "rms_summary.csv"))
+
+
+@pytest.mark.filterwarnings("ignore:reduced state left the expansion domain")
+@pytest.mark.parametrize("name, table_id", [("rl_linear", "T3-rom-n2"), ("rl_vdp", "T4-rom-n2")])
+def test_rom_scores_as_the_table_cell(tmp_path, name, table_id):
+    # the constant ladder gain and the Van der Pol state-dependent one, at hw = 1 and M = 4
+    cfg_path = write_yaml(tmp_path, {"problem": {"name": name, "params": {"n": 2}},
+                                     "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+                                     "degree": 4})
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--quiet", "rom", "--config", cfg_path]) == EXIT_OK
+    summary = next(csv.DictReader((out / "rms_summary.csv").read_text().splitlines()))
+    cell = bench.run_rom_cell(bench.REFERENCE_TABLES[table_id], 1.0, 4)
+    assert summary["relative_rms"] == f"{cell.value:.17g}"
 
 
 def test_rom_output_error_is_the_scored_error(tmp_path, ladder_config):

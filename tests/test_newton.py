@@ -221,6 +221,13 @@ class TestSolveInvariance:
         ref_sol = solve_invariance(ref, assemble_operators(ref, basis, dom))
         assert np.allclose(sol.c, ref_sol.c, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_blocks_hold_one_row_per_state(self, n):
+        problem, basis = make_rl_linear(n), generate_basis(2, 2)
+        sol = solve_invariance(problem, assemble_operators(problem, basis, BoxDomain.cube(1.0, d=2)))
+        assert sol.blocks().shape == (n, basis.size)
+        assert np.array_equal(sol.blocks().ravel(), sol.c)
+
     def test_max_iter_cap_reports_not_converged(self):
         prob = make_rl_linear(2)
         basis = generate_basis(2, 2)

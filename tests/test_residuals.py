@@ -4,7 +4,7 @@ import pytest
 
 from mmrom import residuals
 from mmrom.basis import eval_basis, eval_basis_gradient, generate_basis
-from mmrom.problems import make_rl_linear, make_test1
+from mmrom.problems import make_rl_linear, make_rl_vdp, make_test1
 from mmrom.quadrature import BoxDomain
 from mmrom.residuals import residual_at, residual_norm
 
@@ -69,6 +69,16 @@ def test_non_finite_dynamics_rejected():
     c = np.full((2, basis.size), 1e200)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         residual_norm(prob, basis, c, W=BoxDomain.cube(0.7, d=2))
+
+
+def test_non_finite_dynamics_at_listed_points_named():
+    # points given as nested lists, not an array: the error still names the point
+    prob = make_rl_vdp(2)
+    basis = generate_basis(2, 2)
+    c = np.full((2, basis.size), 1e200)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=r"non-finite dynamics at omega=\[1\. 1\.\]"):
+        residual_at(prob, basis, c, [[1.0, 1.0]])
 
 
 def test_quadrature_refinement_invariance(monkeypatch):

@@ -134,7 +134,7 @@ class TestBuildRom:
     def test_output_matches_expansion(self):
         prob = make_rl_linear(2)
         sol = _solved(prob)
-        C = sol.blocks(2)
+        C = sol.blocks()
         r = np.array([[0.3, -0.4]])
         x = eval_basis(sol.basis, r) @ C.T
         rom = build_rom(prob, sol, np.zeros(1), r)
