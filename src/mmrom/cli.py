@@ -18,15 +18,16 @@ from .config import (
     build_problem,
     build_simulation,
     build_solver_options,
+    fingerprint,
     load_config,
-    _tables_from_config,
+    section,
 )
 from .newton import solve_invariance
-from .persist import problem_fingerprint, read_coefficients, write_coefficients
+from .persist import read_coefficients, write_coefficients
 from .problems import check_assumptions
 from .quadrature import BoxDomain
 from .residuals import residual_norm
-from .rom import NotDetectableError, UnstableGainError, build_rom
+from .rom import build_rom
 from .simulate import steady_state_rms
 
 EXIT_OK = 0
@@ -39,26 +40,13 @@ def _say(args, *msg):
         print(*msg)
 
 
-def _fingerprint(cfg) -> str:
-    """A built-in problem by its params; a generic one by its dimensions and
-    its tables as parsed, terms sorted, so -1 and -1.0 or a reordering agree."""
-    prob = cfg["problem"]
-    if prob["name"] != "generic":
-        return problem_fingerprint(prob["name"], prob.get("params", {}))
-    g = prob["generic"]
-    params = {key: int(g[key]) for key in "dnmp"}
-    params.update({key: [sorted(t.items()) for t in _tables_from_config(g[key])] for key in "slfh"})
-    return problem_fingerprint("generic", params)
-
-
 def _solve_from_config(cfg, problem):
     """Newton solution of the configured domain and degree; it records both."""
-    domain = build_domain(cfg)
-    if domain.d != problem.generator.d:
-        raise ConfigError(f"domain: lo and hi need d = {problem.generator.d} entries, "
-                          f"got {domain.d}")
+    domain = build_domain(cfg, problem)
     basis = generate_basis(problem.generator.d, cfg["degree"])
-    ops = assemble_operators(problem, basis, domain)
+    # a degree past the Gauss rules or a box that overflows is named, with no numpy warning
+    with section("degree"), np.errstate(over="ignore", invalid="ignore"):
+        ops = assemble_operators(problem, basis, domain)
     return solve_invariance(problem, ops, build_solver_options(cfg))
 
 
@@ -71,7 +59,7 @@ def cmd_solve(args) -> int:
     coeff_path = out / "coefficients.txt"
     write_coefficients(
         coeff_path, solution.c, n=problem.system.n, d=solution.basis.d, M=solution.basis.M,
-        domain=solution.domain, fingerprint=_fingerprint(cfg),
+        domain=solution.domain, fingerprint=fingerprint(cfg),
     )
     log_path = out / "convergence.csv"
     with open(log_path, "w", newline="") as fh:
@@ -93,27 +81,20 @@ def cmd_solve(args) -> int:
 
 def cmd_residual(args) -> int:
     cfg = load_config(args.config)
-    try:
+    with section(args.coefficients):
         data = read_coefficients(args.coefficients)
-    except KeyError as exc:
-        raise ConfigError(f"{args.coefficients}: missing header field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{args.coefficients}: {exc}") from exc
+        basis = generate_basis(data["d"], data["M"])
     problem = build_problem(cfg)
-    if data["fingerprint"] and data["fingerprint"] != _fingerprint(cfg):
+    if data["fingerprint"] and data["fingerprint"] != fingerprint(cfg):
         raise ConfigError("coefficient file fingerprint does not match the configured problem")
     if (data["n"], data["d"]) != (problem.system.n, problem.generator.d):
         raise ConfigError(f"{args.coefficients}: n = {data['n']}, d = {data['d']} do not match "
                           f"the configured n = {problem.system.n}, d = {problem.generator.d}")
-    if not 0 < args.subdomain < np.inf:
-        raise ConfigError(f"--subdomain: must be positive and finite, got {args.subdomain:g}")
-    basis = generate_basis(data["d"], data["M"])
-    W = BoxDomain.cube(args.subdomain, d=data["d"])
-    try:  # an overflow on a vast W surfaces as the finiteness check's error, not as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = residual_norm(problem, basis, data["c"], W=W, solve_domain=data["domain"])
-    except ValueError as exc:  # all-zero coefficients, or dynamics not finite on W
-        raise ConfigError(f"residual: {exc}") from exc
+    with section("--subdomain"):
+        W = BoxDomain.cube(args.subdomain, d=data["d"])
+    # all-zero coefficients or dynamics not finite on W; an overflowing W as well, unwarned
+    with section("residual"), np.errstate(over="ignore", invalid="ignore"):
+        report = residual_norm(problem, basis, data["c"], W=W, solve_domain=data["domain"])
     sides = [f"[{lo:g},{hi:g}]" for lo, hi in zip(data["domain"].lo, data["domain"].hi)]
     label = f"{sides[0]}^{data['d']}" if len(set(sides)) == 1 else "x".join(sides)
     out = Path(args.out)
@@ -134,13 +115,9 @@ def cmd_residual(args) -> int:
 def cmd_rom(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
-    try:  # before the solve: no stabilizing gain, or an output at zero or not scalar
+    with section("rom"):  # before the solve: no stabilizing gain, or an unscorable output
         fom_traj, reduced = bench.rom_experiment(problem, build_gain(cfg, problem),
                                                  *build_simulation(cfg, problem))
-    except ConfigError:  # a bad rom.G or simulation entry, already named by its section
-        raise
-    except (UnstableGainError, NotDetectableError, ValueError) as exc:
-        raise ConfigError(f"rom: {exc}") from exc
     solution = _solve_from_config(cfg, problem)
     if not solution.converged:
         _say(args, "invariance solve did not converge; cannot build the reduced model")
@@ -255,7 +232,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import inspect
+import json
 from contextlib import contextmanager
 
 import numpy as np
@@ -29,12 +30,19 @@ _SCHEMA = {
 
 
 @contextmanager
-def _section(name: str):
-    """Turn a ValueError or TypeError from building config[name] into a ConfigError."""
+def section(name: str):
+    """Turn a ValueError or TypeError from the input ``name`` (a config section, an
+    option or a file) into ConfigError(f"{name}: {cause}"); a ConfigError passes as is."""
     try:
         yield
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _refuse_non_finite(constant: str):
+    raise ValueError(f"{float(constant)} is not a finite number")
 
 
 def _check_keys(mapping: dict, allowed, where: str) -> None:
@@ -89,21 +97,35 @@ def load_config(path) -> dict:
             cfg = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
-    return validate_config(cfg)
+    # json writes inf and nan as bare constants; no Gauss rule or integration takes them
+    for key, value in validate_config(cfg).items():
+        with section(key):
+            json.loads(json.dumps(value), parse_constant=_refuse_non_finite)
+    return cfg
+
+
+def fingerprint(cfg: dict) -> str:
+    """A built-in problem by its params; a generic one by its dimensions and
+    its tables as parsed, terms sorted, so -1 and -1.0 or a reordering agree."""
+    from .persist import problem_fingerprint  # here: only solve and residual read one
+    prob = cfg["problem"]
+    if prob["name"] != "generic":
+        return problem_fingerprint(prob["name"], prob.get("params", {}))
+    g = prob["generic"]
+    params = {key: int(g[key]) for key in "dnmp"}
+    params.update({key: [sorted(t.items()) for t in _tables_from_config(g[key])] for key in "slfh"})
+    return problem_fingerprint("generic", params)
 
 
 def _tables_from_config(raw):
     # per component: list of [exponent-list, coefficient] pairs
-    tables = []
-    for comp in raw:
-        tables.append({tuple(int(e) for e in exps): float(coef) for exps, coef in comp})
-    return tables
+    return [{tuple(int(e) for e in exps): float(coef) for exps, coef in comp} for comp in raw]
 
 
 def build_problem(cfg: dict) -> Problem:
     prob = cfg["problem"]
     name = prob["name"]
-    with _section("problem"):
+    with section("problem"):
         if name in BUILTINS:
             return BUILTINS[name](**prob.get("params", {}))
         g = prob["generic"]
@@ -120,16 +142,18 @@ def build_problem(cfg: dict) -> Problem:
         return Problem(generator=gen, system=sys)
 
 
-def build_domain(cfg: dict) -> BoxDomain:
-    dom = cfg["domain"]
-    with _section("domain"):
-        return BoxDomain(lo=np.asarray(dom["lo"], dtype=float),
-                         hi=np.asarray(dom["hi"], dtype=float))
+def build_domain(cfg: dict, problem: Problem) -> BoxDomain:
+    """The configured box, checked for one bound per generator dimension."""
+    with section("domain"):
+        domain = BoxDomain(lo=cfg["domain"]["lo"], hi=cfg["domain"]["hi"])
+        if domain.d != problem.generator.d:
+            raise ValueError(f"lo and hi need d = {problem.generator.d} entries, got {domain.d}")
+    return domain
 
 
 def build_solver_options(cfg: dict) -> SolverOptions:
     raw = cfg.get("solver", {})
-    with _section("solver"):
+    with section("solver"):
         return SolverOptions(**raw)
 
 
@@ -145,7 +169,7 @@ def build_simulation(cfg: dict, problem: Problem):
     the ROM experiment, each checked against the problem's dimensions."""
     raw = cfg.get("simulation", {})
     d, n = problem.generator.d, problem.system.n
-    with _section("simulation"):
+    with section("simulation"):
         t_span = (float(raw.get("t_start", T_SPAN[0])), float(raw.get("t_end", T_SPAN[1])))
         if not t_span[0] < t_span[1]:
             raise ValueError(f"require t_start < t_end, got {t_span}")
@@ -160,7 +184,7 @@ def build_gain(cfg: dict, problem: Problem) -> callable:
     raw = cfg.get("rom", {})
     if "G" not in raw:
         return default_gain(problem)
-    with _section("rom"):
+    with section("rom"):
         G = np.asarray(raw["G"], dtype=float)
         shape = (problem.generator.d, problem.generator.m)
         if G.shape != shape:

@@ -59,10 +59,10 @@ def read_coefficients(path) -> dict:
     fmt = int(header.get("format", "1"))
     if fmt > FORMAT_VERSION:
         raise ValueError(f"file format {fmt} is newer than the supported {FORMAT_VERSION}")
-    n = int(header["n"])
-    d = int(header["d"])
-    M = int(header["M"])
-    N = int(header["N"])
+    missing = [key for key in ("n", "d", "M", "N", "domain_lo", "domain_hi") if key not in header]
+    if missing:
+        raise ValueError(f"missing header field {', '.join(missing)}")
+    n, d, M, N = (int(header[key]) for key in ("n", "d", "M", "N"))
     if N != basis_count(d, M):
         raise ValueError(f"header N={N} inconsistent with d={d}, M={M}")
     if len(values) != n * N:

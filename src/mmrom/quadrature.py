@@ -9,7 +9,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """Axis-aligned box [lo_1, hi_1] x ... x [lo_d, hi_d]."""
+    """Axis-aligned box [lo_1, hi_1] x ... x [lo_d, hi_d], finite: no Gauss rule covers
+    an infinite one."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -19,13 +20,11 @@ class BoxDomain:
         object.__setattr__(self, "hi", np.atleast_1d(np.asarray(self.hi, dtype=float)))
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ValueError("lo and hi must be 1-D vectors of equal length")
-        if not np.all(self.lo < self.hi):
-            raise ValueError(f"require lo < hi componentwise, got lo={self.lo}, hi={self.hi}")
+        if not np.all((-np.inf < self.lo) & (self.lo < self.hi) & (self.hi < np.inf)):
+            raise ValueError(f"require -inf < lo < hi < inf, got lo={self.lo}, hi={self.hi}")
         if not (np.all(self.lo <= 0.0) and np.all(self.hi >= 0.0)):
-            warnings.warn(
-                "domain does not contain the origin; expansions are anchored at 0",
-                stacklevel=2,
-            )
+            warnings.warn("domain does not contain the origin; expansions are anchored at 0",
+                          stacklevel=2)
         self.lo.setflags(write=False)
         self.hi.setflags(write=False)
 

@@ -14,11 +14,11 @@ from .simulate import Trajectory
 GAIN_MARGIN = 0.5
 
 
-class UnstableGainError(RuntimeError):
+class UnstableGainError(ValueError):
     """The chosen gain does not stabilize the reduced dynamics at the origin."""
 
 
-class NotDetectableError(RuntimeError):
+class NotDetectableError(ValueError):
     """(S, L) has unstable or marginal modes invisible to the output."""
 
 

@@ -7,7 +7,8 @@ import yaml
 
 from mmrom import bench, cli
 from mmrom.basis import basis_count
-from mmrom.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, _fingerprint, main
+from mmrom.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
+from mmrom.config import fingerprint
 from mmrom.persist import read_coefficients, write_coefficients
 from mmrom.quadrature import BoxDomain
 
@@ -162,7 +163,7 @@ def test_residual_fingerprint_ignores_spelling_and_term_order(tmp_path):
 def test_builtin_fingerprint_unchanged(ladder_config):
     # coefficient files written by earlier versions carry this line and must still load
     cfg, _ = ladder_config
-    assert _fingerprint(cfg) == "rl_linear:238817095c6c"
+    assert fingerprint(cfg) == "rl_linear:238817095c6c"
 
 
 def test_residual_malformed_coefficients_exit_code(tmp_path, ladder_config, capsys):
@@ -299,6 +300,71 @@ def test_inconsistent_inputs_exit_code(tmp_path, ladder_config, capsys, update, 
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+# x' = -x + u with an infinite coefficient on x
+INFINITE_F = {"f": [[[[1, 0], -np.inf], [[0, 1], 1.0]]]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("update, command, line", [
+    ({"domain": {"lo": [-np.inf, -np.inf], "hi": [np.inf, np.inf]}}, "solve",
+     "domain: inf is not a finite number"),  # hi sorts before lo
+    ({"domain": {"lo": [-1e200, -1e200], "hi": [1e200, 1e200]}}, "solve",
+     "degree: non-finite advection matrix"),
+    ({"degree": 200}, "solve", "degree: require 1 <= q <= 256, got q=401"),
+    ({"problem": _generic_problem(**INFINITE_F)}, "validate", "problem: -inf is not a finite"),
+    ({"problem": _generic_problem(**INFINITE_F)}, "solve", "problem: -inf is not a finite"),
+    ({"problem": {"name": "rl_linear", "params": {"n": 2, "kappa": np.inf}}}, "solve",
+     "problem: inf is not a finite number"),
+    ({"problem": {"name": "cart_pendulum", "params": {"a1": np.inf}}}, "validate",
+     "problem: inf is not a finite number"),
+    ({"out": "a-file"}, "solve", "[Errno 17] File exists"),
+], ids=["domain_inf", "domain_1e200", "degree_200", "f_inf_validate", "f_inf_solve",
+        "kappa_inf", "a1_inf", "out_is_a_file"])
+def test_refused_inputs_exit_code_and_cause(tmp_path, ladder_config, capsys, update, command,
+                                            line):
+    # each of these once ended in a traceback or as "not converged", both exit 1
+    cfg, _ = ladder_config
+    out = tmp_path / update.get("out", "out")
+    if "out" in update:  # --out names an existing file
+        out.write_text("")
+    cfg.update({key: value for key, value in update.items() if key != "out"})
+    code = main(["--out", str(out), "--quiet", command, "--config", write_yaml(tmp_path, cfg)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {line}")
+
+
+@pytest.mark.parametrize("update, line", [
+    ({"simulation": {"omega0": [0.1]}}, "simulation: omega0 needs 2 entries"),
+    ({"rom": {"G": [[1.0, 2.0]]}}, "rom: G needs shape (2, 1)"),
+], ids=["omega0_length", "G_shape"])
+def test_rom_keeps_the_section_of_a_config_error(tmp_path, ladder_config, capsys, update, line):
+    # bench.rom_experiment runs under the rom section; an error that names its own
+    # section passes through it, so it is neither renamed nor prefixed twice
+    cfg, _ = ladder_config
+    cfg.update(update)
+    code = main(["--out", str(tmp_path / "out"), "--quiet", "rom",
+                 "--config", write_yaml(tmp_path, cfg)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {line}")
+
+
+def test_residual_names_a_missing_header_field(tmp_path, ladder_config, capsys):
+    _, cfg_path = ladder_config
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--quiet", "solve", "--config", cfg_path]) == EXIT_OK
+    coeff_path = out / "coefficients.txt"
+    lines = coeff_path.read_text().splitlines()
+    coeff_path.write_text("\n".join(line for line in lines if not line.startswith("# N:")))
+    capsys.readouterr()
+    code = main(["--out", str(out), "--quiet", "residual", "--config", cfg_path,
+                 "--coefficients", str(coeff_path)])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {coeff_path}: missing header field N"]
 
 
 def _count_calls(monkeypatch, module, name):

@@ -11,6 +11,7 @@ from mmrom.config import (
     build_simulation,
     build_solver_options,
     load_config,
+    section,
     validate_config,
 )
 from mmrom.problems import CHAIN_GAIN_C, linearize
@@ -100,7 +101,7 @@ def test_build_domain_and_solver_and_sim():
     cfg = base_config()
     cfg["solver"] = {"max_iter": 50}
     cfg["simulation"] = {"t_end": 10.0, "omega0": [0.2, 0.0], "x0": [0.0, 0.0]}
-    dom = build_domain(cfg)
+    dom = build_domain(cfg, build_problem(cfg))
     assert np.allclose(dom.lo, [-1, -1])
     opts = build_solver_options(cfg)
     assert opts.max_iter == 50
@@ -125,6 +126,41 @@ def test_build_gain_variants():
     cfg["rom"] = {"G": [[0.0, 5.0]]}
     with pytest.raises(ConfigError, match="G needs shape"):
         build_gain(cfg, prob)
+
+
+@pytest.mark.parametrize("update, line", [
+    ({"simulation": {"t_end": np.inf}}, "simulation: inf is not a finite number"),
+    ({"problem": {"name": "rl_linear", "params": {"n": 2, "kappa": np.nan}}},
+     "problem: nan is not a finite number"),
+    ({"problem": {"name": "generic", "generic": {
+        "d": 2, "n": 1, "m": 1, "p": 1, "s": [[[[0, 1], 1.0]], [[[1, 0], -1.0]]],
+        "l": [[[[0, 1], 1.0]]], "f": [[[[1, 0], -np.inf], [[0, 1], 1.0]]],
+        "h": [[[[1], 1.0]]]}}}, "problem: -inf is not a finite number"),
+], ids=["t_end_inf", "kappa_nan", "generic_f_inf"])
+def test_load_config_refuses_numbers_that_are_not_finite(tmp_path, update, line):
+    # an infinite t_end or coefficient once reached the ROM integrations, which never ended
+    cfg = base_config()
+    cfg.update(update)
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == line
+
+
+def test_section_passes_a_config_error_through():
+    with pytest.raises(ConfigError) as exc:
+        with section("rom"):
+            with section("simulation"):
+                raise ValueError("t_end: bad")
+    assert str(exc.value) == "simulation: t_end: bad"
+
+
+def test_build_domain_needs_one_bound_per_generator_dimension():
+    cfg = base_config()
+    cfg["domain"] = {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]}
+    with pytest.raises(ConfigError, match="^domain: lo and hi need d = 2 entries, got 3$"):
+        build_domain(cfg, build_problem(cfg))
 
 
 @pytest.mark.parametrize("kind,problem", [

@@ -16,6 +16,13 @@ def test_domain_validation():
         BoxDomain(lo=[[0.0]], hi=[[1.0]])
 
 
+@pytest.mark.parametrize("lo, hi", [([-np.inf], [1.0]), ([-1.0], [np.inf]), ([np.nan], [1.0])])
+def test_domain_refuses_bounds_that_are_not_finite(lo, hi):
+    # no Gauss rule covers an infinite box
+    with pytest.raises(ValueError, match="require -inf < lo < hi < inf"):
+        BoxDomain(lo=lo, hi=hi)
+
+
 def test_domain_warns_when_origin_excluded():
     with pytest.warns(UserWarning):
         BoxDomain(lo=[0.5], hi=[1.0])

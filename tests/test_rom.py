@@ -71,6 +71,12 @@ class TestStabilizingGain:
             stabilizing_gain(S, np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("error", [UnstableGainError, NotDetectableError])
+def test_gain_refusals_are_value_errors(error):
+    # each refuses a gain or a generator, as a ValueError refuses an argument
+    assert issubclass(error, ValueError)
+
+
 class TestDefaultGain:
     def test_chain_linear_problem(self):
         prob = make_rl_linear(2)
