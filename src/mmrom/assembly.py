@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Basis, eval_basis, eval_basis_gradient, generate_basis
-from .linear import BlockTridiagonal, check_dense_size
+from .basis import Basis, basis_count, eval_basis, eval_basis_gradient, generate_basis
+from .linear import BlockTridiagonal, check_budget
 from .problems import Problem
-from .quadrature import BoxDomain, QuadratureRule, tensor_rule
+from .quadrature import BoxDomain, QuadratureRule, gauss_order, tensor_rule
 
 
 @dataclass
@@ -63,6 +63,24 @@ def default_quadrature_order(problem: Problem, M: int) -> int:
     return 32
 
 
+def _banded(problem: Problem) -> bool:
+    """Whether every structural nonzero (i, j) of df/dx has |i - j| <= 1."""
+    rows, cols = problem.system.jacobian_pattern
+    return bool(np.all(np.abs(rows - cols) <= 1))
+
+
+def check_solve_size(problem: Problem, d: int, M: int) -> int:
+    """Bytes a solve at degree M holds, from sizes alone: at the assembly's peak three (K, P)
+    product tables (values, weighted values, eval_basis's temporary), the (K, N) basis values
+    and the (K, N, d) gradients, and one Jacobian of 3n - 2 N^2 blocks, or (nN)^2 if dense.
+    ValueError past linear.MAX_DENSE_BYTES or past the Gauss rules."""
+    q, n = gauss_order(default_quadrature_order(problem, M)), problem.system.n
+    K, N, P, banded = q ** d, basis_count(d, M), basis_count(d, 2 * M), _banded(problem)
+    jacobian = (3 * n - 2) * N * N if banded else (n * N) ** 2
+    return check_budget(8 * (K * (3 * P + N + N * d) + jacobian),
+                        f"n = {n} states at M = {M}, {'banded' if banded else 'dense'} Jacobian")
+
+
 @functools.cache
 def _product_index(d: int, M: int) -> np.ndarray:
     """For each pair (a, b) of generate_basis(d, M), flattened a * N + b,
@@ -84,6 +102,7 @@ def assemble_operators(problem: Problem, basis: Basis, domain: BoxDomain) -> Gal
     of default_quadrature_order points per dimension."""
     if basis.d != domain.d or basis.d != problem.generator.d:
         raise ValueError("basis, domain and generator dimensions disagree")
+    check_solve_size(problem, basis.d, basis.M)
     gen = problem.generator
     rule = tensor_rule(domain, default_quadrature_order(problem, basis.M))
     N = basis.size
@@ -153,11 +172,10 @@ def jacobian_JF(problem: Problem, ops: GalerkinOperators, c: np.ndarray) -> Bloc
     C = np.asarray(c, dtype=float).reshape(n, N)
     rows, cols = sys.jacobian_pattern
     vals = sys.f_jacobian_x(ops.basis_values @ C.T, ops.l_values)        # (K, nnz)
-    if np.all(np.abs(rows - cols) <= 1):
+    if _banded(problem):
         return BlockTridiagonal(diag=_band(ops, vals, rows, cols, 0, n, plus=ops.A),
                                 sub=_band(ops, vals, rows, cols, -1, n),
                                 sup=_band(ops, vals, rows, cols, 1, n))
-    check_dense_size(n, N)
     JF = np.zeros((n, N, n, N))
     JF[rows, :, cols, :] = _blocks(ops, vals)
     idx = np.arange(n)

@@ -32,10 +32,10 @@ class Basis:
 
 
 def basis_count(d: int, M: int) -> int:
-    """Number of d-variate monomials with total degree in [1, M]."""
+    """Number of d-variate monomials of total degree 1..M: C(d + M, M) less the constant."""
     if d < 1 or M < 1:
         raise ValueError(f"require d >= 1 and M >= 1, got d={d}, M={M}")
-    return sum(math.comb(d + m - 1, m) for m in range(1, M + 1))
+    return math.comb(d + M, M) - 1
 
 
 def _compositions(total: int, parts: int):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .assembly import assemble_operators
+from .assembly import assemble_operators, check_solve_size
 from .basis import generate_basis
 from .config import (
     ConfigError,
@@ -43,10 +43,11 @@ def _say(args, *msg):
 def _solve_from_config(cfg, problem):
     """Newton solution of the configured domain and degree; it records both."""
     domain = build_domain(cfg, problem)
-    basis = generate_basis(problem.generator.d, cfg["degree"])
-    # a degree past the Gauss rules or a box that overflows is named, with no numpy warning
+    d, M = problem.generator.d, cfg["degree"]
+    # a degree past the memory budget or the Gauss rules, or an overflowing box, is named unwarned
     with section("degree"), np.errstate(over="ignore", invalid="ignore"):
-        ops = assemble_operators(problem, basis, domain)
+        check_solve_size(problem, d, M)
+        ops = assemble_operators(problem, generate_basis(d, M), domain)
     return solve_invariance(problem, ops, build_solver_options(cfg))
 
 

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesv
 
-# Largest dense Jacobian (in bytes) that is ever formed; beyond it dense
-# solves and pseudoinverses cost minutes and gigabytes, so they are refused.
+# The one memory budget (bytes) of a solve: its tables and Jacobian (assembly.check_solve_size)
+# or a Jacobian's dense form; past it, solves cost minutes and gigabytes, so they are refused.
 MAX_DENSE_BYTES = 2 ** 30
 
 PIVOT_RTOL = 1e-12
@@ -18,14 +18,11 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a direct factorization detects (near-)singularity."""
 
 
-def check_dense_size(n: int, N: int) -> None:
-    """Raise MemoryError if an (nN, nN) float matrix exceeds MAX_DENSE_BYTES."""
-    nbytes = (n * N) ** 2 * 8
+def check_budget(nbytes: int, what: str) -> int:
+    """nbytes, the size of ``what``; raises ValueError past MAX_DENSE_BYTES."""
     if nbytes > MAX_DENSE_BYTES:
-        raise MemoryError(
-            f"dense Jacobian with n={n} blocks of size N={N} needs {nbytes} bytes, "
-            f"above the limit of {MAX_DENSE_BYTES} bytes"
-        )
+        raise ValueError(f"{what} needs {nbytes} bytes, above the {MAX_DENSE_BYTES}-byte budget")
+    return nbytes
 
 
 @dataclass
@@ -49,10 +46,15 @@ class BlockTridiagonal:
     def block_size(self) -> int:
         return self.diag.shape[1]
 
+    @property
+    def dense_bytes(self) -> int:
+        """Bytes that to_dense allocates: none for one block, which it returns as is."""
+        return 0 if self.nblocks == 1 else 8 * (self.nblocks * self.block_size) ** 2
+
     def to_dense(self) -> np.ndarray:
         """The (nN, nN) matrix; for one block, that block itself, not a copy."""
         n, N = self.nblocks, self.block_size
-        check_dense_size(n, N)
+        check_budget(self.dense_bytes, f"dense Jacobian with n={n} blocks of size N={N}")
         if n == 1:
             return self.diag[0]
         out = np.zeros((n, N, n, N))

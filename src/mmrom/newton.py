@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linear
 from .assembly import GalerkinOperators, jacobian_JF, residual_F
 from .basis import Basis
 from .linear import SingularMatrixError, solve_block_tridiagonal, solve_pseudoinverse
@@ -36,7 +37,7 @@ class Solution:
     backend_used: str | None  # solver of the last step; None when no step was taken
     basis: Basis
     domain: BoxDomain
-    stop_reason: str  # "tol", "max_iter" or "non_finite" (|F|_1 not finite)
+    stop_reason: str  # "tol", "max_iter", "non_finite" (|F|_1 not finite) or "singular"
 
     @property
     def converged(self) -> bool:
@@ -68,7 +69,7 @@ def solve_invariance(
     max_iter steps, and records which in ``stop_reason``. Each step is
     solved by block Thomas elimination (one LU solve when the Jacobian is a
     single block); after a singular factorization every later step uses the
-    pseudoinverse."""
+    pseudoinverse, unless its dense matrix is past the budget: "singular"."""
     opts = options or SolverOptions()
     n, N = problem.system.n, ops.size
     if opts.initial_guess is not None:
@@ -85,20 +86,23 @@ def solve_invariance(
     while (np.isfinite(history[-1]) and history[-1] > opts.tol_F_l1
            and len(history) <= opts.max_iter):
         JF = jacobian_JF(problem, ops, c)
-        backend = backend or "block_tridiagonal"
         try:
-            delta = newton_step(JF, F, backend)
+            delta = newton_step(JF, F, backend or "block_tridiagonal")
         except SingularMatrixError:
+            if JF.dense_bytes > linear.MAX_DENSE_BYTES:  # to_dense would refuse it
+                stop_reason = "singular"
+                break
             backend = "pseudoinverse"
             delta = newton_step(JF, F, backend)
+        backend = backend or "block_tridiagonal"
         del JF  # release it before the next iteration builds another
         c = c - delta
         F = residual_F(problem, ops, c)
         history.append(float(np.linalg.norm(F, 1)))
-
-    if not np.isfinite(history[-1]):
-        stop_reason = "non_finite"
-    else:
-        stop_reason = "tol" if history[-1] <= opts.tol_F_l1 else "max_iter"
+    else:  # no break: the loop's own test ended it
+        if not np.isfinite(history[-1]):
+            stop_reason = "non_finite"
+        else:
+            stop_reason = "tol" if history[-1] <= opts.tol_F_l1 else "max_iter"
     return Solution(c=c, residual_history=history, backend_used=backend,
                     basis=ops.basis, domain=ops.domain, stop_reason=stop_reason)

@@ -49,11 +49,16 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-def gauss_legendre_1d(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1], exact for polynomials of degree 2q-1."""
+def gauss_order(q: int) -> int:
+    """q, if gauss_legendre_1d computes a rule of q points; ValueError otherwise."""
     if not 1 <= q <= 256:
         raise ValueError(f"require 1 <= q <= 256, got q={q}")
-    return np.polynomial.legendre.leggauss(q)
+    return q
+
+
+def gauss_legendre_1d(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1], exact for polynomials of degree 2q-1."""
+    return np.polynomial.legendre.leggauss(gauss_order(q))
 
 
 def tensor_rule(domain: BoxDomain, q: int) -> QuadratureRule:

@@ -1,4 +1,6 @@
 """Tests for Galerkin operator assembly, residual, and Jacobian."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,19 @@ from hypothesis import strategies as st
 from mmrom import assembly
 from mmrom.assembly import (
     assemble_operators,
+    check_solve_size,
     default_quadrature_order,
     jacobian_JF,
     residual_F,
 )
 from mmrom.basis import basis_count, eval_basis, generate_basis
+from mmrom.bench import REFERENCE_TABLES, make_benchmark_problem
+from mmrom.linear import MAX_DENSE_BYTES
 from mmrom.problems import (
     Problem,
     generator_from_tables,
     make_cart_pendulum,
+    make_linear_oscillator,
     make_rl_linear,
     make_rl_vdp,
     make_test1,
@@ -61,6 +67,38 @@ def _exact_integrals(domain, exponent_sums):
     """Exact box integrals of the monomials whose exponents are the last axis."""
     table = monomial_integral_tables(domain, int(exponent_sums.max()))
     return np.prod(table[exponent_sums, np.arange(exponent_sums.shape[-1])], axis=-1)
+
+
+def test_every_published_cell_has_sixteenfold_headroom_in_the_budget():
+    # sizes only, nothing allocated: every table cell (a timing row solves M = 6) and
+    # generic_m10's generic ladder at n = 20, M = 10 stay far from a refusal
+    cells = {(spec["problem"], n, M)
+             for spec in REFERENCE_TABLES.values()
+             for n in spec.get("dims", (spec.get("n"),))
+             for M in spec.get("degrees", (6,))}
+    sizes = {cell: check_solve_size(make_benchmark_problem(*cell[:2]), 2, cell[2])
+             for cell in cells}
+    sizes["generic_m10"] = check_solve_size(
+        make_generic_ladder(20, 1.1, make_linear_oscillator()), 2, 10)
+    assert len(sizes) == 25  # test1, cart_pendulum and the two ladders at three n each
+    over = {cell: size for cell, size in sizes.items() if size >= MAX_DENSE_BYTES / 16}
+    assert not over
+
+
+def test_size_rule_tracks_the_measured_assembly_peak():
+    # the rule counts the arrays assemble_operators holds at its peak (plus a small
+    # banded Jacobian here), so tracemalloc's peak of a second assembly, whose cached
+    # bases and product index are built, lies close below it
+    prob, M = make_test1(), 16
+    basis, domain = generate_basis(2, M), BoxDomain.cube(1.0, d=2)
+    assemble_operators(prob, basis, domain)
+    tracemalloc.start()
+    try:
+        assemble_operators(prob, basis, domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.8 * peak < check_solve_size(prob, 2, M) < 1.5 * peak
 
 
 def test_default_quadrature_order():

@@ -21,6 +21,7 @@ def test_count_small_cases():
     assert basis_count(2, 6) == 27
     assert basis_count(1, 4) == 4
     assert basis_count(3, 2) == 9
+    assert basis_count(2, 10**9) == math.comb(10**9 + 2, 2) - 1  # closed form: no O(M) sum
 
 
 def test_count_matches_enumeration():

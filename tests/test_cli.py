@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface."""
 import csv
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import mmrom
 from mmrom import bench, cli
 from mmrom.basis import basis_count
 from mmrom.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
@@ -334,6 +340,85 @@ def test_refused_inputs_exit_code_and_cause(tmp_path, ladder_config, capsys, upd
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {line}")
+
+
+def _coupled_two_apart(n):
+    """_generic_config's generator driving x_i' = -x_i + 0.5 x_{i+2}, u on x_1: the
+    states are coupled two apart, so the Jacobian is one dense block of size nN."""
+    def term(i, coef):
+        exps = [0] * (n + 1)
+        exps[i] = 1
+        return [exps, coef]
+
+    f = [[term(i, -1.0)] + ([term(i + 2, 0.5)] if i + 2 < n else []) for i in range(n)]
+    f[0].append(term(n, 1.0))
+    return _generic_problem(n=n, f=f, h=[[[[1] + [0] * (n - 1), 1.0]]])
+
+
+def test_a_dense_jacobian_past_the_budget_is_refused_before_the_assembly(tmp_path, capsys):
+    # (60 * 230)^2 doubles are 1.5 GB: once a MemoryError traceback after the assembly
+    cfg = {"problem": _coupled_two_apart(60), "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+           "degree": 20}
+    code = main(["--out", str(tmp_path / "out"), "--quiet", "solve",
+                 "--config", write_yaml(tmp_path, cfg)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: degree: ")
+    assert "dense Jacobian" in err[0] and "bytes, above the 1073741824-byte budget" in err[0]
+
+
+@pytest.mark.parametrize("degree", [20000, 10**9])
+def test_a_vast_degree_is_refused_at_once(tmp_path, ladder_config, capsys, degree):
+    # once 16 s or more in generate_basis at 20000, and no end at 10^9
+    cfg, _ = ladder_config
+    cfg["degree"] = degree
+    start = time.perf_counter()
+    code = main(["--out", str(tmp_path / "out"), "--quiet", "solve",
+                 "--config", write_yaml(tmp_path, cfg)])
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: degree: ")
+
+
+def test_a_degree_past_the_budget_allocates_nothing(tmp_path, ladder_config):
+    # degree 100 once asked for a 6.1 GiB table; the child reports its own peak RSS
+    cfg, _ = ladder_config
+    cfg["degree"] = 100
+    script = (
+        "import resource, sys\n"
+        "from mmrom.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"  # KiB on Linux
+        "sys.exit(code)\n"
+    )
+    src = str(Path(mmrom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-c", script, "--out", str(tmp_path / "out"),
+                          "--quiet", "solve", "--config", write_yaml(tmp_path, cfg)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5.0
+    assert run.returncode == EXIT_CONFIG_ERROR
+    err = run.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: degree: ")
+    assert "above the 1073741824-byte budget" in err[0]
+    assert int(run.stdout) < 300 * 1024
+
+
+def test_residual_refuses_a_vast_degree_header_at_once(tmp_path, ladder_config, capsys):
+    # the header's N no longer matches: once 29.5 s in basis_count before this exit
+    _, cfg_path = ladder_config
+    path = Path(_coefficients_without_problem_line(tmp_path, 2, 2))
+    path.write_text(path.read_text().replace("# M: 2\n", "# M: 200000000\n"))
+    start = time.perf_counter()
+    code = main(["--out", str(tmp_path / "out"), "--quiet", "residual",
+                 "--config", cfg_path, "--coefficients", str(path)])
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {path}: header N=5 inconsistent")
 
 
 @pytest.mark.parametrize("update, line", [

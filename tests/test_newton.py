@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mmrom import linear
 from mmrom.assembly import assemble_operators, jacobian_JF
 from mmrom.basis import generate_basis
 from mmrom.bench import make_benchmark_problem, solve_benchmark
@@ -115,7 +116,7 @@ class TestBackends:
         JF = BlockTridiagonal(diag=np.broadcast_to(block, (2000, 27, 27)),
                               sub=np.broadcast_to(block, (1999, 27, 27)),
                               sup=np.broadcast_to(block, (1999, 27, 27)))
-        with pytest.raises(MemoryError, match=r"n=2000 .*N=27.* 23328000000 bytes"):
+        with pytest.raises(ValueError, match=r"n=2000 .*N=27.* 23328000000 bytes"):
             newton_step(JF, np.ones(2000 * 27), "pseudoinverse")
 
 
@@ -197,6 +198,20 @@ class TestSolveInvariance:
         assert sol.backend_used == "pseudoinverse"
         # the invariance equation asks pi_1 + pi_2 = omega; the minimum-norm step splits it evenly
         assert np.allclose(sol.c, [0.5, 0.5], rtol=1e-12)
+
+    def test_singular_reduced_block_past_the_budget_stops_the_solve(self, monkeypatch):
+        # the problem of the test above, with a budget one byte below its 2 x 2 dense
+        # Jacobian: the pseudoinverse step would be refused, so no step is taken
+        gen = generator_from_tables(d=1, m=1, s_tables=[{(1,): 0.0}], l_tables=[{(1,): 1.0}])
+        row = {(1, 0, 0): -1.0, (0, 1, 0): -1.0, (0, 0, 1): 1.0}
+        sys = system_from_tables(n=2, m=1, p=1, f_tables=[row, row], h_tables=[{(1, 0): 1.0}])
+        prob = Problem(generator=gen, system=sys)
+        ops = assemble_operators(prob, generate_basis(1, 1), BoxDomain.cube(1.0, d=1))
+        monkeypatch.setattr(linear, "MAX_DENSE_BYTES", 2 * 2 * 8 - 1)
+        sol = solve_invariance(prob, ops)
+        assert sol.stop_reason == "singular"
+        assert not sol.converged and sol.iterations == 0
+        assert sol.backend_used is None
 
     def test_no_step_taken_reports_no_backend(self):
         prob = make_test1(2.0)
